@@ -1,10 +1,9 @@
 // finemoe-lint is the repo's determinism and hot-path contract checker: a
-// multichecker driver over the analyzers in internal/analysis — the five
-// intraprocedural checks (detrange, noclock, hotalloc, unitmix,
-// mustrelease) and the four interprocedural, fact-carrying ones
-// (callalloc, sharedstate, floatorder, puritycheck). It loads packages
-// offline through the local build cache, so it runs anywhere `go build`
-// does:
+// multichecker driver over the analyzers in internal/analysis — the four
+// intraprocedural checks (detrange, noclock, unitmix, mustrelease) and
+// the four interprocedural, fact-carrying ones (callalloc, sharedstate,
+// floatorder, puritycheck). It loads packages offline through the local
+// build cache, so it runs anywhere `go build` does:
 //
 //	go run ./cmd/finemoe-lint ./...
 //	go run ./cmd/finemoe-lint -only detrange,noclock ./internal/serve

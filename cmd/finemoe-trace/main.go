@@ -62,7 +62,12 @@ func main() {
 		}
 		ds, reqs = loadedDS, loaded
 	} else if *online {
-		reqs = workload.AzureTrace(ds, *dim, workload.TraceConfig{RatePerSec: *rate, N: *n, Seed: *seed})
+		ap, err := workload.ArrivalByName("poisson", *rate)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		reqs = workload.OnlineTrace(ds, *dim, workload.OnlineOptions{Arrivals: ap, N: *n, Seed: *seed})
 	} else {
 		reqs = ds.Sample(workload.Options{Dim: *dim, N: *n, Seed: *seed, FixedLengths: *fixed})
 	}

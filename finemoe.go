@@ -157,6 +157,10 @@ func AzureTrace(d Dataset, dim int, tc TraceConfig) []Request {
 // MMPPArrivals, DiurnalArrivals and FlashCrowdArrivals implement it.
 type ArrivalProcess = workload.ArrivalProcess
 
+// ArrivalStream is an arrival timeline being generated: what an
+// ArrivalProcess's Stream returns.
+type ArrivalStream = workload.ArrivalStream
+
 // PoissonArrivals is the constant-rate memoryless process (the paper's §6.3).
 type PoissonArrivals = workload.Poisson
 

@@ -1,8 +1,7 @@
-// Package allocscan is the shared allocation-site detector behind
-// hotalloc (intraprocedural: sites inside //finemoe:hotpath bodies) and
-// callalloc (interprocedural: sites anywhere the hot-path call graph
-// reaches). It recognizes the allocation shapes PR 4/5 eliminated from
-// the serving loop:
+// Package allocscan is the allocation-site detector behind callalloc,
+// which reports sites inside //finemoe:hotpath bodies and anywhere the
+// hot-path call graph reaches. It recognizes the allocation shapes kept
+// out of the serving loop:
 //
 //   - &T{…}, new(T): pointer-producing allocations
 //   - []T{…}, map literals, make(…): fresh backing stores — EXCEPT inside

@@ -1,16 +1,20 @@
-// Package callalloc is the interprocedural sibling of hotalloc: where
-// hotalloc inspects only the bodies of //finemoe:hotpath functions,
-// callalloc walks the call graph from every hotpath root and reports any
-// reachable allocation site, carrying the full call chain in the
-// diagnostic. It is the analyzer that turns "the 33 annotated functions
+// Package callalloc enforces the zero-allocation discipline on the hot
+// path: functions annotated //finemoe:hotpath — the per-event code the
+// serving loop runs millions of times per experiment (engine stepping,
+// residency transitions, index scans, the cluster event heap) — and
+// everything they call. It reports the allocation sites in each root's
+// own body, and walks the call graph from every root to report any call
+// that reaches an allocation, carrying the full call chain in the
+// diagnostic. It is the analyzer that turns "the annotated functions
 // don't allocate" into "the hot path doesn't allocate, period".
 //
 // Mechanics:
 //
-//   - Allocation sites come from internal/analysis/allocscan (same rules
-//     as hotalloc, including the cap-guard grow idiom). A site carrying a
-//     //finemoe:allocok or //finemoe:alloc-ok <reason> annotation is
-//     sanctioned and does not propagate.
+//   - Allocation sites come from internal/analysis/allocscan (pointer
+//     literals, unguarded make/append, interface boxing, capturing
+//     closures; the cap-guard grow idiom is sanctioned). A site carrying
+//     a //finemoe:allocok <reason> annotation is sanctioned and does not
+//     propagate.
 //   - A whole function can be sanctioned as an allocating leaf with a
 //     //finemoe:allocok <reason> in its doc block — the cold grow path or
 //     per-request constructor whose cost is amortized. Sanctioned
@@ -43,12 +47,14 @@ import (
 
 	"finemoe/internal/analysis"
 	"finemoe/internal/analysis/allocscan"
-	"finemoe/internal/analysis/hotalloc"
 )
 
 // Directive is the escape-hatch vocabulary entry callalloc honors, on
-// call sites and (function-level) in doc blocks.
+// allocation and call sites and (function-level) in doc blocks.
 const Directive = "allocok"
+
+// Marker annotates a hot-path root (in its doc comment block).
+const Marker = "//finemoe:hotpath"
 
 // maxChain bounds the hops rendered in one diagnostic.
 const maxChain = 8
@@ -64,7 +70,7 @@ func (*AllocFact) AFact() {}
 
 var Analyzer = &analysis.Analyzer{
 	Name:       "callalloc",
-	Doc:        "proves //finemoe:hotpath functions transitively allocation-free over the call graph",
+	Doc:        "proves //finemoe:hotpath functions and everything they call allocation-free",
 	Run:        run,
 	FactTypes:  []analysis.Fact{new(AllocFact)},
 	Directives: []string{Directive},
@@ -106,11 +112,14 @@ func run(pass *analysis.Pass) (any, error) {
 	fns := collect(pass)
 	resolveFixpoint(pass, fns)
 
-	// Report at hotpath roots: every call whose callee transitively
-	// allocates. Direct sites inside the root are hotalloc's domain.
+	// Report at hotpath roots: every unsanctioned site in the root's own
+	// body, and every call whose callee transitively allocates.
 	for _, fn := range fns.ordered {
-		if !hotalloc.IsHotpath(fn.decl) {
+		if !IsHotpath(fn.decl) {
 			continue
+		}
+		for _, site := range fn.sites {
+			pass.Reportf(site.Node.Pos(), "hotpath %s: %s", fn.decl.Name.Name, site.Msg)
 		}
 		for _, cs := range fn.calls {
 			chain := callChain(pass, fns, cs)
@@ -142,6 +151,19 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
+// IsHotpath reports whether the function's doc block carries Marker.
+func IsHotpath(fn *ast.FuncDecl) bool {
+	if fn.Doc == nil {
+		return false
+	}
+	for _, c := range fn.Doc.List {
+		if c.Text == Marker || strings.HasPrefix(c.Text, Marker+" ") {
+			return true
+		}
+	}
+	return false
+}
+
 type fnSet struct {
 	byObj   map[types.Object]*fnInfo
 	ordered []*fnInfo
@@ -166,7 +188,7 @@ func collect(pass *analysis.Pass) *fnSet {
 				fn.allocok, fn.allocokPos = true, pos
 			}
 			for _, site := range allocscan.Scan(pass, fd) {
-				if pass.Allowed(Directive, site.Node) || pass.Allowed(hotalloc.Directive, site.Node) {
+				if pass.Allowed(Directive, site.Node) {
 					continue
 				}
 				fn.sites = append(fn.sites, site)

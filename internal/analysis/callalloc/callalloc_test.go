@@ -8,13 +8,14 @@ import (
 	"finemoe/internal/analysis/callalloc"
 )
 
-// TestCallalloc covers the whole-program wants: local helper chains,
+// TestCallalloc covers the allocation shapes flagged inside hotpath
+// bodies (finemoe/hot) and the whole-program wants: local helper chains,
 // cross-package facts imported from finemoe/callee, interface dispatch,
 // indirect calls, and both sanction levels (call site and leaf
 // function). Listing callee too asserts the dependency itself stays
 // diagnostic-free.
 func TestCallalloc(t *testing.T) {
-	analysistest.Run(t, "../testdata", callalloc.Analyzer, "finemoe/hotcaller", "finemoe/callee")
+	analysistest.Run(t, "../testdata", callalloc.Analyzer, "finemoe/hot", "finemoe/hotcaller", "finemoe/callee")
 }
 
 // TestStaleDirectives drives the staleness sweep through fixtures: a

@@ -9,7 +9,6 @@ import (
 	"finemoe/internal/analysis/callalloc"
 	"finemoe/internal/analysis/detrange"
 	"finemoe/internal/analysis/floatorder"
-	"finemoe/internal/analysis/hotalloc"
 	"finemoe/internal/analysis/mustrelease"
 	"finemoe/internal/analysis/noclock"
 	"finemoe/internal/analysis/puritycheck"
@@ -17,12 +16,11 @@ import (
 	"finemoe/internal/analysis/unitmix"
 )
 
-// All lists the full analyzer suite: the five intraprocedural checks
+// All lists the full analyzer suite: the four intraprocedural checks
 // first, then the four interprocedural, fact-carrying ones.
 var All = []*analysis.Analyzer{
 	detrange.Analyzer,
 	noclock.Analyzer,
-	hotalloc.Analyzer,
 	unitmix.Analyzer,
 	mustrelease.Analyzer,
 	callalloc.Analyzer,

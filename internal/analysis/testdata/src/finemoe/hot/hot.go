@@ -1,5 +1,6 @@
-// Fixture for the hotalloc analyzer: //finemoe:hotpath functions must not
-// allocate; unannotated functions are free to.
+// Fixture for callalloc's intraprocedural side: //finemoe:hotpath
+// functions must not allocate in their own bodies; unannotated functions
+// are free to.
 package hot
 
 type buf struct {
@@ -89,11 +90,11 @@ func closureStaticOK() func() int {
 
 //finemoe:hotpath
 func annotated() []int {
-	//finemoe:alloc-ok fixture: cold path taken once per run
+	//finemoe:allocok fixture: cold path taken once per run
 	return []int{1}
 }
 
-// Not annotated: hotalloc has nothing to say here.
+// Not annotated: callalloc has nothing to say here.
 func coldAlloc() *buf {
 	return &buf{}
 }

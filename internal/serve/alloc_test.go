@@ -12,7 +12,7 @@ import (
 // S4 steady-state allocation guards. The sharded cluster loop multiplies
 // Engine.Step across 32+ instances and a million requests; a single
 // per-iteration allocation reappears as gigabytes of garbage at that
-// scale. These tests pin the contract the finemoe-lint hotalloc analyzer
+// scale. These tests pin the contract the finemoe-lint callalloc analyzer
 // proves statically — mid-stream decode iterations allocate nothing — by
 // measuring it dynamically, including the residency machine's
 // fetch/evict/demote churn which the static proof cannot see end to end.

@@ -14,8 +14,8 @@ func TestAbusiveBurstLoop(t *testing.T) {
 	}
 	n := 4000
 	span := func(ts []float64) float64 { return ts[len(ts)-1] }
-	at := abusive.Times(n, 7)
-	bt := BurstyMMPP(rate).Times(n, 7)
+	at := times(abusive, n, 7)
+	bt := times(BurstyMMPP(rate), n, 7)
 	ad := IndexOfDispersion(at, span(at)/64)
 	bd := IndexOfDispersion(bt, span(bt)/64)
 	if ad <= bd {

@@ -13,12 +13,12 @@ func TestArrivalStreamZeroAlloc(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	for name, p := range streamShapes() {
-		s := p.(ArrivalStreamer).Stream(7)
+	for _, p := range testProcesses() {
+		s := p.Stream(7)
 		var sink float64
 		got := testing.AllocsPerRun(2000, func() { sink = s.Next() })
 		if got != 0 {
-			t.Errorf("%s: arrival stream allocates %.3f per Next, want 0", name, got)
+			t.Errorf("%s: arrival stream allocates %.3f per Next, want 0", p.Name(), got)
 		}
 		_ = sink
 	}

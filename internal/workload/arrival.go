@@ -14,13 +14,20 @@ import (
 )
 
 // ArrivalProcess generates the arrival timeline of an online trace.
-// Implementations must be deterministic: the same (n, seed) always yields
-// the same times, and times are non-decreasing starting after 0.
+// Implementations must be deterministic: the same seed always yields the
+// same times, and times are non-decreasing starting after 0.
 type ArrivalProcess interface {
 	// Name identifies the process in reports and flags.
 	Name() string
-	// Times returns the first n arrival times in milliseconds.
-	Times(n int, seed uint64) []float64
+	// Stream returns the process's timeline for seed, one arrival per
+	// Next, from O(1) generator state.
+	Stream(seed uint64) ArrivalStream
+}
+
+// ArrivalStream is an arrival timeline being generated: Next returns the
+// next arrival time in milliseconds.
+type ArrivalStream interface {
+	Next() float64
 }
 
 // Poisson is the constant-rate memoryless process of the paper's Azure
@@ -36,19 +43,24 @@ func (p Poisson) Name() string { return "poisson" }
 // MeanRate returns the process's long-run arrival rate.
 func (p Poisson) MeanRate() float64 { return p.RatePerSec }
 
-// Times implements ArrivalProcess.
-func (p Poisson) Times(n int, seed uint64) []float64 {
-	if p.RatePerSec <= 0 {
+// Stream implements ArrivalProcess.
+func (p Poisson) Stream(seed uint64) ArrivalStream {
+	if !(p.RatePerSec > 0) {
 		panic("workload: non-positive arrival rate")
 	}
-	r := rng.New(seed)
-	out := make([]float64, n)
-	var t float64
-	for i := range out {
-		t += r.Exp(p.RatePerSec) * 1000
-		out[i] = t
-	}
-	return out
+	return &poissonStream{r: rng.Seeded(seed), rate: p.RatePerSec}
+}
+
+type poissonStream struct {
+	r    rng.RNG
+	rate float64
+	t    float64 // milliseconds
+}
+
+//finemoe:hotpath
+func (s *poissonStream) Next() float64 {
+	s.t += s.r.Exp(s.rate) * 1000
+	return s.t
 }
 
 // MMPP is a two-state Markov-modulated Poisson process: traffic alternates
@@ -72,39 +84,47 @@ func (m MMPP) MeanRate() float64 {
 	return (m.LowRate*m.MeanLowS + m.HighRate*m.MeanHighS) / (m.MeanLowS + m.MeanHighS)
 }
 
-// Times implements ArrivalProcess. The process starts in the low state;
+// Stream implements ArrivalProcess. The process starts in the low state;
 // state switches and arrivals are competing exponentials, resolved by
 // memorylessness.
-func (m MMPP) Times(n int, seed uint64) []float64 {
-	if m.LowRate <= 0 || m.HighRate <= 0 || m.MeanLowS <= 0 || m.MeanHighS <= 0 {
+func (m MMPP) Stream(seed uint64) ArrivalStream {
+	if !(m.LowRate > 0 && m.HighRate > 0 && m.MeanLowS > 0 && m.MeanHighS > 0) {
 		panic(fmt.Sprintf("workload: invalid MMPP %+v", m))
 	}
-	r := rng.New(seed)
-	out := make([]float64, 0, n)
-	var t float64 // seconds
-	high := false
-	holdLeft := r.Exp(1 / m.MeanLowS)
-	for len(out) < n {
-		rate := m.LowRate
-		if high {
-			rate = m.HighRate
+	s := &mmppStream{m: m, r: rng.Seeded(seed)}
+	s.holdLeft = s.r.Exp(1 / m.MeanLowS)
+	return s
+}
+
+type mmppStream struct {
+	m        MMPP
+	r        rng.RNG
+	t        float64 // seconds
+	holdLeft float64
+	high     bool
+}
+
+//finemoe:hotpath
+func (s *mmppStream) Next() float64 {
+	for {
+		rate := s.m.LowRate
+		if s.high {
+			rate = s.m.HighRate
 		}
-		gap := r.Exp(rate)
-		if gap < holdLeft {
-			t += gap
-			holdLeft -= gap
-			out = append(out, t*1000)
-			continue
+		gap := s.r.Exp(rate)
+		if gap < s.holdLeft {
+			s.t += gap
+			s.holdLeft -= gap
+			return s.t * 1000
 		}
-		t += holdLeft
-		high = !high
-		mean := m.MeanLowS
-		if high {
-			mean = m.MeanHighS
+		s.t += s.holdLeft
+		s.high = !s.high
+		mean := s.m.MeanLowS
+		if s.high {
+			mean = s.m.MeanHighS
 		}
-		holdLeft = r.Exp(1 / mean)
+		s.holdLeft = s.r.Exp(1 / mean)
 	}
-	return out
 }
 
 // Diurnal is a sinusoidally rate-modulated Poisson process standing in for
@@ -131,12 +151,12 @@ func (d Diurnal) rate(tS float64) float64 {
 	return d.BaseRatePerSec * (1 + d.Amplitude*math.Sin(2*math.Pi*tS/d.PeriodS))
 }
 
-// Times implements ArrivalProcess.
-func (d Diurnal) Times(n int, seed uint64) []float64 {
-	if d.BaseRatePerSec <= 0 || d.Amplitude < 0 || d.Amplitude >= 1 || d.PeriodS <= 0 {
+// Stream implements ArrivalProcess.
+func (d Diurnal) Stream(seed uint64) ArrivalStream {
+	if !(d.BaseRatePerSec > 0 && d.Amplitude >= 0 && d.Amplitude < 1 && d.PeriodS > 0) {
 		panic(fmt.Sprintf("workload: invalid Diurnal %+v", d))
 	}
-	return thin(n, seed, d.BaseRatePerSec*(1+d.Amplitude), d.rate)
+	return &thinStream{r: rng.Seeded(seed), rateMax: d.BaseRatePerSec * (1 + d.Amplitude), rate: d.rate}
 }
 
 // FlashCrowd is a step spike with exponential decay: background Poisson
@@ -165,17 +185,18 @@ func (f FlashCrowd) rate(tS float64) float64 {
 	return f.BaseRatePerSec * (1 + (f.SpikeMult-1)*math.Exp(-(tS-f.SpikeAtS)/f.DecayS))
 }
 
-// Times implements ArrivalProcess.
-func (f FlashCrowd) Times(n int, seed uint64) []float64 {
-	if f.BaseRatePerSec <= 0 || f.SpikeMult <= 1 || f.SpikeAtS < 0 || f.DecayS <= 0 {
+// Stream implements ArrivalProcess.
+func (f FlashCrowd) Stream(seed uint64) ArrivalStream {
+	if !(f.BaseRatePerSec > 0 && f.SpikeMult > 1 && f.SpikeAtS >= 0 && f.DecayS > 0) {
 		panic(fmt.Sprintf("workload: invalid FlashCrowd %+v", f))
 	}
-	return thin(n, seed, f.BaseRatePerSec*f.SpikeMult, f.rate)
+	return &thinStream{r: rng.Seeded(seed), rateMax: f.BaseRatePerSec * f.SpikeMult, rate: f.rate}
 }
 
-// thin generates n arrivals of an inhomogeneous Poisson process with
+// thinStream generates an inhomogeneous Poisson process with
 // instantaneous rate rate(tS) ≤ rateMax by thinning: candidate arrivals at
-// the constant envelope rate are kept with probability rate/rateMax.
+// the constant envelope rate are kept with probability rate/rateMax, one
+// accepted arrival per Next.
 //
 // The clock is a Kahan-compensated sum of the exponential gaps. A naive
 // running sum drifts by O(n·ε) over n candidates — at million-request
@@ -184,20 +205,23 @@ func (f FlashCrowd) Times(n int, seed uint64) []float64 {
 // so the accumulated time would depend on summation order rather than on
 // the gap stream alone. Compensation keeps the clock within one rounding
 // of the exact prefix sum regardless of horizon.
-func thin(n int, seed uint64, rateMax float64, rate func(tS float64) float64) []float64 {
-	r := rng.New(seed)
-	out := make([]float64, 0, n)
-	var t, comp float64 // seconds; comp carries the low-order error term
-	for len(out) < n {
-		y := r.Exp(rateMax) - comp
-		sum := t + y
-		comp = (sum - t) - y
-		t = sum
-		if r.Float64()*rateMax <= rate(t) {
-			out = append(out, t*1000)
+type thinStream struct {
+	r       rng.RNG
+	rateMax float64
+	rate    func(tS float64) float64
+	t, comp float64 // seconds; comp carries the low-order error term
+}
+
+func (s *thinStream) Next() float64 {
+	for {
+		y := s.r.Exp(s.rateMax) - s.comp
+		sum := s.t + y
+		s.comp = (sum - s.t) - y
+		s.t = sum
+		if s.r.Float64()*s.rateMax <= s.rate(s.t) {
+			return s.t * 1000
 		}
 	}
-	return out
 }
 
 // --- rate-parameterized presets ---------------------------------------------
@@ -241,8 +265,12 @@ func FlashSpike(ratePerSec float64) FlashCrowd {
 }
 
 // ArrivalByName resolves a process name (as used by -arrival flags and
-// scenario specs) to a preset at the given mean rate.
+// scenario specs) to a preset at the given mean rate, which must be
+// positive and finite.
 func ArrivalByName(name string, ratePerSec float64) (ArrivalProcess, error) {
+	if !(ratePerSec > 0) || math.IsInf(ratePerSec, 1) {
+		return nil, fmt.Errorf("workload: arrival rate %v req/s is not positive and finite", ratePerSec)
+	}
 	switch name {
 	case "poisson", "":
 		return Poisson{RatePerSec: ratePerSec}, nil
@@ -312,20 +340,8 @@ type OnlineOptions struct {
 }
 
 // OnlineTrace samples an online trace: dataset prompts with arrival times
-// drawn from the configured process and sampled token lengths.
+// drawn from the configured process and sampled token lengths. It is
+// StreamOnline collected into a slice.
 func OnlineTrace(d Dataset, dim int, opt OnlineOptions) []Request {
-	if opt.Arrivals == nil {
-		panic("workload: OnlineTrace requires an ArrivalProcess")
-	}
-	base := opt.IDBase
-	if base == 0 {
-		base = 1 << 32
-	}
-	reqs := d.Sample(Options{Dim: dim, N: opt.N, Seed: opt.Seed, IDBase: base})
-	times := opt.Arrivals.Times(opt.N, rng.Mix(d.Seed, opt.Seed, arrivalSalt))
-	for i := range reqs {
-		reqs[i].ArrivalMS = times[i]
-		reqs[i].Tenant = opt.Tenant
-	}
-	return reqs
+	return collect(StreamOnline(d, dim, opt), opt.N)
 }

@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/big"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -21,17 +22,23 @@ func testProcesses() []ArrivalProcess {
 	}
 }
 
+// times draws the first n arrival times of p's timeline for seed.
+func times(p ArrivalProcess, n int, seed uint64) []float64 {
+	s := p.Stream(seed)
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = s.Next()
+	}
+	return out
+}
+
 // TestArrivalTimesNonDecreasing: every process's timeline is
 // non-decreasing and strictly positive, across seeds.
 func TestArrivalTimesNonDecreasing(t *testing.T) {
 	for _, ap := range testProcesses() {
 		f := func(seed uint64) bool {
-			times := ap.Times(200, seed)
-			if len(times) != 200 {
-				return false
-			}
 			prev := 0.0
-			for _, x := range times {
+			for _, x := range times(ap, 200, seed) {
 				if x <= 0 || x < prev || math.IsNaN(x) || math.IsInf(x, 0) {
 					return false
 				}
@@ -62,7 +69,7 @@ func TestArrivalMeanRate(t *testing.T) {
 		{BurstyMMPP(4), BurstyMMPP(4).MeanRate()},
 		{DiurnalSwing(4), DiurnalSwing(4).MeanRate()},
 	} {
-		got := empiricalRate(tc.ap.Times(n, 17))
+		got := empiricalRate(times(tc.ap, n, 17))
 		if math.Abs(got-tc.want)/tc.want > 0.1 {
 			t.Errorf("%s: empirical rate %.2f, want ~%.2f", tc.ap.Name(), got, tc.want)
 		}
@@ -83,7 +90,7 @@ func TestFlashCrowdSpike(t *testing.T) {
 	var spike, background float64
 	const seeds = 10
 	for seed := uint64(0); seed < seeds; seed++ {
-		for _, x := range f.Times(2000, seed) {
+		for _, x := range times(f, 2000, seed) {
 			tS := x / 1000
 			switch {
 			case tS >= f.SpikeAtS && tS < f.SpikeAtS+f.DecayS:
@@ -106,7 +113,7 @@ func TestFlashCrowdSpike(t *testing.T) {
 	}
 	// Long-run: the spike's extra mass washes out, so the empirical rate
 	// relaxes to the background rate.
-	got := empiricalRate(f.Times(5000, 21))
+	got := empiricalRate(times(f, 5000, 21))
 	if math.Abs(got-f.BaseRatePerSec)/f.BaseRatePerSec > 0.15 {
 		t.Errorf("long-run flash-crowd rate %.2f, want ~%.2f", got, f.BaseRatePerSec)
 	}
@@ -116,14 +123,14 @@ func TestFlashCrowdSpike(t *testing.T) {
 // byte-identically; a different seed does not.
 func TestArrivalDeterminism(t *testing.T) {
 	for _, ap := range testProcesses() {
-		a := ap.Times(500, 42)
-		b := ap.Times(500, 42)
+		a := times(ap, 500, 42)
+		b := times(ap, 500, 42)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%s: times diverge at %d for equal seeds", ap.Name(), i)
 			}
 		}
-		c := ap.Times(500, 43)
+		c := times(ap, 500, 43)
 		same := true
 		for i := range a {
 			if a[i] != c[i] {
@@ -137,33 +144,29 @@ func TestArrivalDeterminism(t *testing.T) {
 	}
 }
 
-// TestThinLongHorizonAccuracy: thin's compensated clock stays within a
-// rounding of the exact (200-bit) prefix sum of its gap stream at a
-// million-candidate horizon, and is never worse than naive float64
+// TestThinLongHorizonAccuracy: thinStream's compensated clock stays
+// within a rounding of the exact (200-bit) prefix sum of its gap stream at
+// a million-candidate horizon, and is never worse than naive float64
 // accumulation. A flat rate function makes every candidate an arrival, so
-// output i is exactly prefix sum i and the reference can replay the same
-// rng draws (gap, then acceptance) side by side.
+// arrival i is exactly prefix sum i and the reference can replay the same
+// rng draws (gap, then acceptance) in lock step.
 func TestThinLongHorizonAccuracy(t *testing.T) {
 	const n = 1_000_000
 	const rateMax = 8.0
-	flat := func(float64) float64 { return rateMax }
-	times := thin(n, 99, rateMax, flat)
-	if len(times) != n {
-		t.Fatalf("flat-rate thinning dropped candidates: %d of %d", len(times), n)
-	}
+	s := &thinStream{r: rng.Seeded(99), rateMax: rateMax, rate: func(float64) float64 { return rateMax }}
 
 	r := rng.New(99)
 	exact := new(big.Float).SetPrec(200)
 	gap := new(big.Float).SetPrec(200)
 	var naive float64
 	for i := 0; i < n; i++ {
+		got := s.Next() / 1000
 		g := r.Exp(rateMax)
-		r.Float64() // thin's acceptance draw
+		r.Float64() // the stream's acceptance draw
 		naive += g
 		exact.Add(exact, gap.SetFloat64(g))
 		if i == n/2 || i == n-1 {
 			ref, _ := exact.Float64()
-			got := times[i] / 1000
 			kahanErr := math.Abs(got - ref)
 			naiveErr := math.Abs(naive - ref)
 			if kahanErr > naiveErr {
@@ -185,8 +188,8 @@ func TestThinLongHorizonDeterminism(t *testing.T) {
 		t.Skip("long-horizon determinism sweep")
 	}
 	for _, ap := range []ArrivalProcess{DiurnalSwing(4), FlashSpike(4)} {
-		a := ap.Times(200_000, 7)
-		b := ap.Times(200_000, 7)
+		a := times(ap, 200_000, 7)
+		b := times(ap, 200_000, 7)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%s: long-horizon timelines diverge at %d", ap.Name(), i)
@@ -207,8 +210,8 @@ func TestMMPPBurstiness(t *testing.T) {
 	// Window ≈ 10 mean inter-arrival gaps, well inside the state holding
 	// times so bursts show up as count variance.
 	window := 10.0 / 4 * 1000
-	mmppD := IndexOfDispersion(m.Times(n, 5), window)
-	poisD := IndexOfDispersion(Poisson{RatePerSec: 4}.Times(n, 5), window)
+	mmppD := IndexOfDispersion(times(m, n, 5), window)
+	poisD := IndexOfDispersion(times(Poisson{RatePerSec: 4}, n, 5), window)
 	if mmppD <= 1 {
 		t.Errorf("MMPP index of dispersion %.2f, want > 1", mmppD)
 	}
@@ -236,7 +239,8 @@ func TestAzureTraceMatchesPoissonProcess(t *testing.T) {
 	}
 }
 
-// TestArrivalByName: every flag name resolves, unknown names error.
+// TestArrivalByName: every flag name resolves, unknown names and rates
+// that are not positive and finite error.
 func TestArrivalByName(t *testing.T) {
 	for _, name := range []string{"poisson", "mmpp", "bursty", "diurnal", "flash", "flash-crowd", ""} {
 		ap, err := ArrivalByName(name, 4)
@@ -247,24 +251,34 @@ func TestArrivalByName(t *testing.T) {
 	if _, err := ArrivalByName("nope", 4); err == nil {
 		t.Error("unknown arrival name did not error")
 	}
+	for _, rate := range []float64{0, -1, math.NaN(), math.Inf(1)} {
+		if _, err := ArrivalByName("poisson", rate); err == nil {
+			t.Errorf("arrival rate %v did not error", rate)
+		}
+	}
 }
 
-// TestArrivalValidation: invalid configurations panic rather than emit
-// broken timelines.
+// TestArrivalValidation: invalid configurations, NaN fields included,
+// panic with the package's message rather than emit broken timelines.
 func TestArrivalValidation(t *testing.T) {
-	for _, bad := range []func(){
-		func() { Poisson{}.Times(1, 0) },
-		func() { MMPP{LowRate: 1, HighRate: 2, MeanLowS: 1}.Times(1, 0) },
-		func() { Diurnal{BaseRatePerSec: 1, Amplitude: 1.5, PeriodS: 10}.Times(1, 0) },
-		func() { FlashCrowd{BaseRatePerSec: 1, SpikeMult: 0.5, DecayS: 1}.Times(1, 0) },
+	nan := math.NaN()
+	for i, bad := range []ArrivalProcess{
+		Poisson{},
+		Poisson{RatePerSec: nan},
+		MMPP{LowRate: 1, HighRate: 2, MeanLowS: 1},
+		MMPP{LowRate: 1, HighRate: nan, MeanLowS: 1, MeanHighS: 1},
+		Diurnal{BaseRatePerSec: 1, Amplitude: 1.5, PeriodS: 10},
+		Diurnal{BaseRatePerSec: 1, Amplitude: nan, PeriodS: 10},
+		FlashCrowd{BaseRatePerSec: 1, SpikeMult: 0.5, DecayS: 1},
+		FlashCrowd{BaseRatePerSec: 1, SpikeMult: 6, SpikeAtS: nan, DecayS: 1},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Error("expected panic on invalid arrival config")
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "workload: ") {
+					t.Errorf("case %d (%+v): panic %q, want the package's message", i, bad, msg)
 				}
 			}()
-			bad()
+			bad.Stream(0)
 		}()
 	}
 }

@@ -68,14 +68,7 @@ func ReadTrace(r io.Reader) (Dataset, []Request, error) {
 	if tf.Dim <= 0 {
 		return Dataset{}, nil, fmt.Errorf("workload: invalid trace dim %d", tf.Dim)
 	}
-	reqs := make([]Request, 0, len(tf.Requests))
 	seen := make(map[uint64]bool, len(tf.Requests))
-	// Embeddings are rebacked onto a shared arena: the decoder's
-	// per-request slices (each a separate allocation sized by the JSON
-	// token count, not the row) become garbage as soon as decoding
-	// finishes, and the returned trace has the same memory layout as a
-	// generated one — full-slice-capped rows in shared blocks.
-	arena := NewArena(tf.Dim)
 	var lastArrival float64
 	for i, e := range tf.Requests {
 		if len(e.Embedding) != tf.Dim {
@@ -92,6 +85,16 @@ func ReadTrace(r io.Reader) (Dataset, []Request, error) {
 			return Dataset{}, nil, fmt.Errorf("workload: request %d arrival goes backwards", i)
 		}
 		lastArrival = e.ArrivalMS
+	}
+	// Embeddings are rebacked onto one block of full-slice-capped rows,
+	// as a generated trace's are: the decoder's per-request slices (each
+	// a separate allocation sized by the JSON token count, not the row)
+	// become garbage as soon as decoding finishes. Every entry has been
+	// validated to hold exactly dim values, so the block is no larger
+	// than the embeddings already decoded, however large dim claims to be.
+	block := make([]float64, tf.Dim*len(tf.Requests))
+	reqs := make([]Request, len(tf.Requests))
+	for i, e := range tf.Requests {
 		q := Request{
 			Topic: e.Topic, ArrivalMS: e.ArrivalMS, Dataset: tf.Dataset.Name,
 			Session: e.Session, Turn: e.Turn, Tenant: e.Tenant,
@@ -100,12 +103,12 @@ func ReadTrace(r io.Reader) (Dataset, []Request, error) {
 			q.Dataset = e.Dataset
 		}
 		q.ID = e.ID
-		q.Embedding = arena.Row()
+		q.Embedding = block[i*tf.Dim : (i+1)*tf.Dim : (i+1)*tf.Dim]
 		copy(q.Embedding, e.Embedding)
 		q.InputTokens = e.InputTokens
 		q.OutputTokens = e.OutputTokens
 		q.Seed = e.Seed
-		reqs = append(reqs, q)
+		reqs[i] = q
 	}
 	return tf.Dataset, reqs, nil
 }

@@ -3,6 +3,9 @@ package workload
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -140,4 +143,78 @@ func TestReadTraceReplayable(t *testing.T) {
 	if got[0].PromptSpec.Seed != orig[0].PromptSpec.Seed {
 		t.Fatal("prompt seeds differ; replay would diverge")
 	}
+}
+
+// TestReadTraceAllocationBounded: a file claiming a wide dim costs memory
+// in proportion to its size. Rows were once carved from 1024-row arena
+// blocks sized by dim, so one 10000-wide request allocated 80 MB.
+func TestReadTraceAllocationBounded(t *testing.T) {
+	const dim = 10000
+	var b strings.Builder
+	fmt.Fprintf(&b, `{"version":1,"dim":%d,"requests":[{"id":1,"input_tokens":1,"output_tokens":1,"embedding":[0`, dim)
+	b.WriteString(strings.Repeat(",0", dim-1))
+	b.WriteString("]}]}")
+	input := b.String()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, reqs, err := ReadTrace(strings.NewReader(input))
+	runtime.ReadMemStats(&after)
+	if err != nil || len(reqs) != 1 {
+		t.Fatalf("decoding the wide trace: %d requests, %v", len(reqs), err)
+	}
+	// Decoding alone costs about 25x here: each 2-byte "0," becomes an
+	// 8-byte float in a geometrically grown slice.
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 64*uint64(len(input)); got > limit {
+		t.Errorf("decoding a %d-byte trace allocated %d bytes, want at most %d", len(input), got, limit)
+	}
+}
+
+// FuzzReadTrace: ReadTrace never panics, and any trace it accepts
+// survives WriteTrace and a second decode unchanged.
+func FuzzReadTrace(f *testing.F) {
+	var buf bytes.Buffer
+	d := LMSYSChat1M()
+	trace := MultiTenantTrace(4, 1, []TenantSpec{
+		{Name: "a", Dataset: d, Arrivals: Poisson{RatePerSec: 4}, N: 3},
+		AdversarialTenant("b", 4, 2, 5),
+	})
+	if err := WriteTrace(&buf, d, 4, trace); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.String()
+	for _, seed := range []string{
+		valid,
+		valid[:len(valid)/2],
+		strings.Replace(valid, `"version": 1`, `"version": 2`, 1),
+		strings.Replace(valid, `"dim": 4`, `"dim": 200000`, 1),
+		strings.Replace(valid, `"input_tokens": `, `"input_tokens": -`, 1),
+		`{"version":1,"dim":1,"requests":[]}`,
+		`{"version":1,"dim":1,"requests":[null]}`,
+		`{"version":1,"dim":2,"requests":[{"id":1,"input_tokens":1,"output_tokens":1,"embedding":[0,1],"arrival_ms":5},` +
+			`{"id":2,"input_tokens":1,"output_tokens":1,"embedding":[1,0],"arrival_ms":4}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d1, r1, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		dim := 1 // any valid dim re-encodes an empty trace
+		if len(r1) > 0 {
+			dim = len(r1[0].Embedding)
+		}
+		var out bytes.Buffer
+		if err := WriteTrace(&out, d1, dim, r1); err != nil {
+			t.Fatalf("re-encoding an accepted trace: %v", err)
+		}
+		d2, r2, err := ReadTrace(&out)
+		if err != nil {
+			t.Fatalf("re-decoding a written trace: %v", err)
+		}
+		if d2 != d1 || !reflect.DeepEqual(r2, r1) {
+			t.Fatal("decode → WriteTrace → decode changed the trace")
+		}
+	})
 }

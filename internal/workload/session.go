@@ -73,17 +73,11 @@ func NewSessions(d Dataset, dim int, cfg SessionConfig, seed uint64) *Sessions {
 }
 
 // Initial samples n session-opening requests (turn 0) with arrival times
-// from the given process. Each request's Session is its own ID, so
-// follow-ups inherit the thread identity.
+// from the given process: StreamInitial collected into a slice. Each
+// request's Session is its own ID, so follow-ups inherit the thread
+// identity.
 func (s *Sessions) Initial(ap ArrivalProcess, n int, idBase uint64) []Request {
-	reqs := OnlineTrace(s.d, s.dim, OnlineOptions{
-		Arrivals: ap, N: n, Seed: s.seed, IDBase: idBase,
-	})
-	for i := range reqs {
-		reqs[i].Session = reqs[i].ID
-		reqs[i].Turn = 0
-	}
-	return reqs
+	return collect(s.StreamInitial(ap, n, idBase), n)
 }
 
 // FollowUp returns the next turn of the parent's session, arriving an

@@ -1,12 +1,12 @@
-// Streaming workload generation: the incremental form of every trace
-// generator in the package. A materialized trace costs O(N) memory before
-// the first request is served; at 10M-request horizons that is gigabytes
-// of embeddings the cluster loop only ever touches front-to-back. A
-// Source instead yields requests one at a time, in arrival order, from
-// O(1) generator state — and, because every generator here consumes its
-// RNG streams in exactly the order the materializing generator does, the
-// streamed request sequence is byte-identical to the corresponding
-// []Request (stream_test.go pins this for every shape).
+// Streaming workload generation: every trace generator in the package is
+// a Source. A materialized trace costs O(N) memory before the first
+// request is served; at 10M-request horizons that is gigabytes of
+// embeddings the cluster loop only ever touches front-to-back. A Source
+// instead yields requests one at a time, in arrival order, from O(1)
+// generator state. The materializing generators (OnlineTrace,
+// MultiTenantTrace, Sessions.Initial) collect these sources into a slice
+// sized to their known request count, so each shape has exactly one
+// generator and the committed parity goldens pin its values.
 //
 // Embeddings are carved out of a shared Arena: blocks of arenaRows rows
 // allocated together, each request's embedding a full-slice-capped row.
@@ -93,144 +93,6 @@ func (a *Arena) Row() []float64 {
 	return row
 }
 
-// --- incremental arrival processes ------------------------------------------
-
-// ArrivalStream is the incremental form of an ArrivalProcess: Next
-// returns the process's next arrival time in milliseconds. A stream
-// seeded like Times(n, seed) yields exactly times[0..n-1] — each
-// implementation consumes the RNG in the materializing loop's order.
-type ArrivalStream interface {
-	Next() float64
-}
-
-// ArrivalStreamer is the optional streaming face of an ArrivalProcess.
-// All four in-package shapes implement it; StreamArrivals falls back to
-// materializing Times for processes that do not.
-type ArrivalStreamer interface {
-	ArrivalProcess
-	Stream(seed uint64) ArrivalStream
-}
-
-// StreamArrivals returns the incremental form of p. Unknown processes are
-// materialized up front (n times), so the fallback still satisfies the
-// stream ≡ Times contract.
-func StreamArrivals(p ArrivalProcess, seed uint64, n int) ArrivalStream {
-	if s, ok := p.(ArrivalStreamer); ok {
-		return s.Stream(seed)
-	}
-	return &sliceArrivals{times: p.Times(n, seed)}
-}
-
-type sliceArrivals struct {
-	times []float64
-	i     int
-}
-
-//finemoe:hotpath
-func (s *sliceArrivals) Next() float64 {
-	t := s.times[s.i]
-	s.i++
-	return t
-}
-
-// Stream implements ArrivalStreamer.
-func (p Poisson) Stream(seed uint64) ArrivalStream {
-	if p.RatePerSec <= 0 {
-		panic("workload: non-positive arrival rate")
-	}
-	return &poissonStream{r: rng.Seeded(seed), rate: p.RatePerSec}
-}
-
-type poissonStream struct {
-	r    rng.RNG
-	rate float64
-	t    float64 // milliseconds, like Times' accumulator
-}
-
-//finemoe:hotpath
-func (s *poissonStream) Next() float64 {
-	s.t += s.r.Exp(s.rate) * 1000
-	return s.t
-}
-
-// Stream implements ArrivalStreamer.
-func (m MMPP) Stream(seed uint64) ArrivalStream {
-	if m.LowRate <= 0 || m.HighRate <= 0 || m.MeanLowS <= 0 || m.MeanHighS <= 0 {
-		panic(fmt.Sprintf("workload: invalid MMPP %+v", m))
-	}
-	s := &mmppStream{m: m, r: rng.Seeded(seed)}
-	s.holdLeft = s.r.Exp(1 / m.MeanLowS)
-	return s
-}
-
-type mmppStream struct {
-	m        MMPP
-	r        rng.RNG
-	t        float64 // seconds, like Times' accumulator
-	holdLeft float64
-	high     bool
-}
-
-//finemoe:hotpath
-func (s *mmppStream) Next() float64 {
-	for {
-		rate := s.m.LowRate
-		if s.high {
-			rate = s.m.HighRate
-		}
-		gap := s.r.Exp(rate)
-		if gap < s.holdLeft {
-			s.t += gap
-			s.holdLeft -= gap
-			return s.t * 1000
-		}
-		s.t += s.holdLeft
-		s.high = !s.high
-		mean := s.m.MeanLowS
-		if s.high {
-			mean = s.m.MeanHighS
-		}
-		s.holdLeft = s.r.Exp(1 / mean)
-	}
-}
-
-// Stream implements ArrivalStreamer.
-func (d Diurnal) Stream(seed uint64) ArrivalStream {
-	if d.BaseRatePerSec <= 0 || d.Amplitude < 0 || d.Amplitude >= 1 || d.PeriodS <= 0 {
-		panic(fmt.Sprintf("workload: invalid Diurnal %+v", d))
-	}
-	return &thinStream{r: rng.Seeded(seed), rateMax: d.BaseRatePerSec * (1 + d.Amplitude), rate: d.rate}
-}
-
-// Stream implements ArrivalStreamer.
-func (f FlashCrowd) Stream(seed uint64) ArrivalStream {
-	if f.BaseRatePerSec <= 0 || f.SpikeMult <= 1 || f.SpikeAtS < 0 || f.DecayS <= 0 {
-		panic(fmt.Sprintf("workload: invalid FlashCrowd %+v", f))
-	}
-	return &thinStream{r: rng.Seeded(seed), rateMax: f.BaseRatePerSec * f.SpikeMult, rate: f.rate}
-}
-
-// thinStream is the incremental form of thin: the same Kahan-compensated
-// clock and acceptance test, one accepted arrival per Next.
-type thinStream struct {
-	r       rng.RNG
-	rateMax float64
-	rate    func(tS float64) float64
-	t, comp float64
-}
-
-func (s *thinStream) Next() float64 {
-	for {
-		y := s.r.Exp(s.rateMax) - s.comp
-		sum := s.t + y
-		s.comp = (sum - s.t) - y
-		s.t = sum
-		if s.r.Float64()*s.rateMax <= s.rate(s.t) {
-			return s.t * 1000
-		}
-	}
-}
-
 // --- streaming trace generators ---------------------------------------------
 
 // sampler draws dataset prompts one at a time, consuming its RNG in
@@ -295,11 +157,10 @@ func (s *sampler) next(id uint64) Request {
 	}
 }
 
-// StreamOnline is the streaming form of OnlineTrace: the same prompt and
-// arrival RNG streams, interleaved per request instead of materialized in
-// two passes. The two streams are independently seeded, so interleaving
-// preserves each one's draw order and the yielded requests equal
-// OnlineTrace's byte for byte.
+// StreamOnline generates an online trace: dataset prompts with arrival
+// times drawn from the configured process and sampled token lengths. The
+// prompt and arrival RNG streams are independently seeded, so drawing
+// them interleaved per request preserves each one's draw order.
 func StreamOnline(d Dataset, dim int, opt OnlineOptions) Source {
 	if opt.Arrivals == nil {
 		panic("workload: StreamOnline requires an ArrivalProcess")
@@ -313,23 +174,11 @@ func StreamOnline(d Dataset, dim int, opt OnlineOptions) Source {
 	}
 	return &onlineSource{
 		s:      newSampler(d, Options{Dim: dim, N: opt.N, Seed: opt.Seed}),
-		arr:    StreamArrivals(opt.Arrivals, rng.Mix(d.Seed, opt.Seed, arrivalSalt), opt.N),
+		arr:    opt.Arrivals.Stream(rng.Mix(d.Seed, opt.Seed, arrivalSalt)),
 		n:      opt.N,
 		base:   base,
 		tenant: opt.Tenant,
 	}
-}
-
-// StreamAzureTrace is the streaming form of AzureTrace: StreamOnline
-// specialized to the paper's constant-rate Poisson process.
-func StreamAzureTrace(d Dataset, dim int, tc TraceConfig) Source {
-	if tc.RatePerSec <= 0 {
-		panic("workload: non-positive arrival rate")
-	}
-	return StreamOnline(d, dim, OnlineOptions{
-		Arrivals: Poisson{RatePerSec: tc.RatePerSec},
-		N:        tc.N, Seed: tc.Seed, IDBase: tc.IDBase,
-	})
 }
 
 type onlineSource struct {
@@ -359,10 +208,9 @@ func (o *onlineSource) Next() (Request, bool) {
 	return q, true
 }
 
-// StreamInitial is the streaming form of Sessions.Initial: n session
-// openers (turn 0, Session = own ID) on the given arrival process.
-// Follow-up turns stay closed-loop via FollowUp, exactly as with the
-// materialized opener trace.
+// StreamInitial generates n session openers (turn 0, Session = own ID)
+// on the given arrival process. Follow-up turns stay closed-loop via
+// FollowUp.
 func (s *Sessions) StreamInitial(ap ArrivalProcess, n int, idBase uint64) Source {
 	src := StreamOnline(s.d, s.dim, OnlineOptions{
 		Arrivals: ap, N: n, Seed: s.seed, IDBase: idBase,
@@ -371,12 +219,11 @@ func (s *Sessions) StreamInitial(ap ArrivalProcess, n int, idBase uint64) Source
 	return src
 }
 
-// StreamMultiTenant is the streaming form of MultiTenantTrace: each
-// tenant's stream is generated independently (same per-tenant seeds and
-// ID ranges) and k-way merged by arrival time, ties toward the earlier
-// tenant index. A stable merge of sorted streams equals the stable sort
-// of their concatenation, so the merged sequence is byte-identical to the
-// materialized trace.
+// StreamMultiTenant generates every tenant's trace on its own arrival
+// process and merges them into one arrival-ordered stream. Request IDs
+// are disjoint across tenants, every request is tagged with its tenant's
+// name, and ties in arrival time break toward the earlier tenant index,
+// so the merge is deterministic.
 func StreamMultiTenant(dim int, seed uint64, tenants []TenantSpec) Source {
 	if len(tenants) == 0 {
 		panic("workload: StreamMultiTenant requires at least one tenant")
@@ -439,10 +286,15 @@ func (m *mergeSource) Next() (Request, bool) {
 }
 
 // Collect materializes a source into a slice — the inverse of
-// NewSliceSource, used by tests and by callers that need random access
-// after streaming generation.
-func Collect(src Source) []Request {
-	var out []Request
+// NewSliceSource, for callers that need random access after streaming
+// generation.
+func Collect(src Source) []Request { return collect(src, 0) }
+
+// collect materializes src into a slice with capacity for n requests.
+// Every materializing generator knows its request count, so its trace is
+// allocated once at its exact size instead of regrowing by doubling.
+func collect(src Source, n int) []Request {
+	out := make([]Request, 0, n)
 	for {
 		q, ok := src.Next()
 		if !ok {

@@ -6,98 +6,22 @@ import (
 	"testing"
 )
 
-// streamShapes are the arrival processes the parity tests sweep.
-func streamShapes() map[string]ArrivalProcess {
-	return map[string]ArrivalProcess{
-		"poisson": Poisson{RatePerSec: 4},
-		"mmpp":    BurstyMMPP(4),
-		"diurnal": DiurnalSwing(4),
-		"flash":   FlashSpike(4),
-		"abusive": AbusiveBurstLoop(4),
-	}
-}
-
-// TestArrivalStreamMatchesTimes pins stream ≡ Times for every shape: the
-// incremental generators must replay the materializing loops bit for bit.
-func TestArrivalStreamMatchesTimes(t *testing.T) {
-	const n = 500
-	for name, p := range streamShapes() {
-		want := p.Times(n, 77)
-		s := p.(ArrivalStreamer).Stream(77)
-		for i, w := range want {
-			if got := s.Next(); got != w {
-				t.Fatalf("%s: arrival %d: stream %v != Times %v", name, i, got, w)
-			}
-		}
-	}
-}
-
-// fixedArrivals is an ArrivalProcess that does not implement
-// ArrivalStreamer, to exercise StreamArrivals' materializing fallback.
-type fixedArrivals struct{}
-
-func (fixedArrivals) Name() string { return "fixed" }
-func (fixedArrivals) Times(n int, seed uint64) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = float64(i) * 10
-	}
-	return out
-}
-
-func TestStreamArrivalsFallback(t *testing.T) {
-	s := StreamArrivals(fixedArrivals{}, 1, 4)
-	for i := 0; i < 4; i++ {
-		if got, want := s.Next(), float64(i)*10; got != want {
-			t.Fatalf("fallback arrival %d: got %v want %v", i, got, want)
-		}
-	}
-}
-
-// TestStreamOnlineMatchesOnlineTrace pins the tentpole parity: for every
-// arrival shape, the streamed request sequence equals the materialized
-// trace field for field, embeddings included.
-func TestStreamOnlineMatchesOnlineTrace(t *testing.T) {
+// TestMaterializersSizeExactly: every materializing generator collects
+// its stream into a slice allocated once at the known request count.
+func TestMaterializersSizeExactly(t *testing.T) {
 	d := LMSYSChat1M()
-	for name, p := range streamShapes() {
-		opt := OnlineOptions{Arrivals: p, N: 200, Seed: 9, Tenant: "t0"}
-		want := OnlineTrace(d, 16, opt)
-		got := Collect(StreamOnline(d, 16, opt))
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: streamed trace diverges from OnlineTrace", name)
+	sess := NewSessions(d, 8, SessionConfig{MeanTurns: 3}, 1)
+	for name, tc := range map[string]struct {
+		reqs []Request
+		n    int
+	}{
+		"OnlineTrace":      {OnlineTrace(d, 8, OnlineOptions{Arrivals: BurstyMMPP(4), N: 37, Seed: 1}), 37},
+		"MultiTenantTrace": {MultiTenantTrace(8, 1, testTenants()), 50},
+		"Sessions.Initial": {sess.Initial(Poisson{RatePerSec: 4}, 23, 0), 23},
+	} {
+		if len(tc.reqs) != tc.n || cap(tc.reqs) != tc.n {
+			t.Errorf("%s: len %d cap %d, want both %d", name, len(tc.reqs), cap(tc.reqs), tc.n)
 		}
-	}
-}
-
-func TestStreamAzureTraceMatches(t *testing.T) {
-	d := ShareGPT()
-	tc := TraceConfig{RatePerSec: 2.91, N: 128, Seed: 3}
-	want := AzureTrace(d, 16, tc)
-	got := Collect(StreamAzureTrace(d, 16, tc))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed Azure trace diverges from AzureTrace")
-	}
-}
-
-func TestStreamInitialMatchesSessions(t *testing.T) {
-	s := NewSessions(LMSYSChat1M(), 16, SessionConfig{MeanTurns: 3, Drift: 0.05}, 21)
-	want := s.Initial(Poisson{RatePerSec: 4}, 100, 0)
-	got := Collect(s.StreamInitial(Poisson{RatePerSec: 4}, 100, 0))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed session openers diverge from Initial")
-	}
-}
-
-func TestStreamMultiTenantMatches(t *testing.T) {
-	tenants := []TenantSpec{
-		{Name: "lmsys", Dataset: LMSYSChat1M(), Arrivals: Poisson{RatePerSec: 4}, N: 80},
-		{Name: "sharegpt", Dataset: ShareGPT(), Arrivals: BurstyMMPP(6), N: 60},
-		AdversarialTenant("abuser", 3, 40, 5),
-	}
-	want := MultiTenantTrace(16, 13, tenants)
-	got := Collect(StreamMultiTenant(16, 13, tenants))
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed multi-tenant trace diverges from MultiTenantTrace")
 	}
 }
 

@@ -205,9 +205,6 @@ type TraceConfig struct {
 // It is OnlineTrace specialized to the paper's constant-rate process; the
 // arrival stream is byte-identical to the pre-ArrivalProcess generator.
 func AzureTrace(d Dataset, dim int, tc TraceConfig) []Request {
-	if tc.RatePerSec <= 0 {
-		panic("workload: non-positive arrival rate")
-	}
 	return OnlineTrace(d, dim, OnlineOptions{
 		Arrivals: Poisson{RatePerSec: tc.RatePerSec},
 		N:        tc.N, Seed: tc.Seed, IDBase: tc.IDBase,
