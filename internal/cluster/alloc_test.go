@@ -10,11 +10,12 @@ import (
 )
 
 // TestRunStreamSteadyStateAllocs guards the streaming loop's per-request
-// allocation budget. The bound is deliberately loose against the
-// measured rate (a few dozen allocations per request, dominated by
-// result-row bookkeeping and policy state) — it exists to catch a
-// regression that reintroduces per-request maps, closures, or trace
-// materialization into the hot loop, not to pin an exact count.
+// allocation budget. The measured rate is about 18 allocations per
+// request, dominated by result-row bookkeeping and policy state; the
+// budget leaves headroom for noise but catches a regression that
+// reintroduces per-request maps, closures, or trace materialization into
+// the hot loop — including gate traces that are simulated but never
+// recycled, which cost several allocations per request.
 func TestRunStreamSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -39,7 +40,7 @@ func TestRunStreamSteadyStateAllocs(t *testing.T) {
 	}
 	perReq := float64(after.Mallocs-before.Mallocs) / float64(n)
 	t.Logf("steady-state allocations per request: %.1f", perReq)
-	const budget = 100
+	const budget = 30
 	if perReq > budget {
 		t.Errorf("streaming loop allocates %.1f objects per request, budget %d", perReq, budget)
 	}

@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"finemoe/internal/faults"
+	"finemoe/internal/moe"
 	"finemoe/internal/serve"
 	"finemoe/internal/workload"
 )
@@ -222,6 +223,12 @@ type Cluster struct {
 	retries      int
 	hedgedWins   int
 	lostInFlight int
+
+	// ahead is the gate-trace pipeline of the running RunStream (nil when
+	// off; see pipeline.go); handOffs counts the traces it handed to
+	// engines.
+	ahead    *tracePipeline
+	handOffs int
 
 	// statesBuf is the reusable backing array for activeStates: the
 	// routable-fleet snapshot is rebuilt on every Offer and autoscale
@@ -488,7 +495,14 @@ func (c *Cluster) instanceByID(id int) *Instance {
 // the chosen instance. Returns the instance ID, or -1 when admission
 // sheds the request. Retiring instances are invisible to admission and
 // routing.
-func (c *Cluster) Offer(req workload.Request) int {
+func (c *Cluster) Offer(req workload.Request) int { return c.offer(req, nil) }
+
+// offer is Offer for a request the pipeline may have traced ahead (its
+// non-nil). The trace goes to the routed engine only when that engine
+// serves the pipeline's model and has nothing queued, so the trace is
+// consumed at once instead of waiting in memory behind a backlog;
+// otherwise it is recycled and the engine traces at admission.
+func (c *Cluster) offer(req workload.Request, its []*moe.Iteration) int {
 	if t := req.ArrivalMS; t > c.now {
 		c.now = t
 	}
@@ -496,10 +510,12 @@ func (c *Cluster) Offer(req workload.Request) int {
 	if len(fleet) == 0 {
 		// Every instance crashed or retired (reachable only under a fault
 		// plan): there is nowhere to route, so the request is shed.
+		c.ahead.recycle(its)
 		c.rejected++
 		return -1
 	}
 	if !c.admission.Admit(req, c.now, fleet) {
+		c.ahead.recycle(its)
 		c.rejected++
 		return -1
 	}
@@ -510,7 +526,13 @@ func (c *Cluster) Offer(req workload.Request) int {
 	}
 	in := c.instanceByID(fleet[i].ID)
 	in.Submitted++
-	in.Engine.Submit(req)
+	if its != nil && in.Engine.QueueDepth() == 0 && in.Engine.Model() == c.ahead.model {
+		in.Engine.SubmitHandOff(req, its)
+		c.handOffs++
+	} else {
+		c.ahead.recycle(its)
+		in.Engine.Submit(req)
+	}
 	c.refreshEvent(in.idx)
 	if c.resOn {
 		c.trackDispatch(req, in)
@@ -728,43 +750,14 @@ func (c *Cluster) RunTrace(trace []workload.Request) *Result {
 // over the source reproduces the materialized loop's event schedule
 // exactly; stream_test.go pins byte parity across every workload shape,
 // fault plan and worker count.
+//
+// When the runtime has more than one CPU and the whole fleet serves one
+// model, RunStream reads src on a helper goroutine, up to traceAhead
+// requests ahead, and simulates each request's gate trace there (see
+// pipeline.go). The helper has exited by the time RunStream returns.
 func (c *Cluster) RunStream(src workload.Source) *Result {
 	c.run(src)
 	return c.Finalize()
-}
-
-// reqCursor is the one-request lookahead window over a Source the
-// shared-clock loop schedules against.
-type reqCursor struct {
-	src workload.Source
-	cur workload.Request
-	ok  bool
-}
-
-func newReqCursor(src workload.Source) reqCursor {
-	k := reqCursor{src: src}
-	if src != nil {
-		k.cur, k.ok = src.Next()
-	}
-	return k
-}
-
-// peek returns the pending arrival's time, or +Inf when exhausted.
-//
-//finemoe:hotpath
-func (k *reqCursor) peek() float64 {
-	if !k.ok {
-		return math.Inf(1)
-	}
-	return k.cur.ArrivalMS
-}
-
-// pop consumes the pending arrival and advances the window, running the
-// source's generator (whose arena/block allocations are amortized).
-func (k *reqCursor) pop() workload.Request {
-	q := k.cur
-	k.cur, k.ok = k.src.Next()
-	return q
 }
 
 // run is the shared-clock loop behind RunStream/RunTrace (with a source)
@@ -779,7 +772,14 @@ func (c *Cluster) run(src workload.Source) {
 	if c.workers > 1 {
 		defer c.stopPool()
 	}
-	cursor := newReqCursor(src)
+	if m := c.sharedModel(); src != nil && m != nil {
+		c.ahead = startPipeline(m, src)
+		defer func() {
+			c.ahead.close()
+			c.ahead = nil
+		}()
+	}
+	cursor := newReqCursor(src, c.ahead)
 	for {
 		tArr, fromTrace := cursor.peek(), true
 		if len(c.injected) > 0 && c.injected[0].ArrivalMS < tArr {
@@ -825,7 +825,7 @@ func (c *Cluster) run(src workload.Source) {
 		}
 		if tArr <= tTick && tArr <= tInst {
 			if fromTrace {
-				c.Offer(cursor.pop())
+				c.offer(cursor.pop())
 			} else {
 				c.Offer(c.popInjected())
 			}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"encoding/json"
+	"runtime"
+	"strings"
 	"testing"
 
 	"finemoe/internal/moe"
@@ -141,6 +143,27 @@ func streamVariants() []streamVariant {
 	// Everything at once: sessions + fault plan + resilience + growth.
 	out = append(out, sessVariant("combo", 19, true))
 
+	// A mixed-model fleet: engines of two differently seeded models, so
+	// a trace simulated with the wrong model would change the bytes. The
+	// gate-trace pipeline stays off and every engine traces at admission.
+	{
+		d := streamDataset(41)
+		opt := workload.OnlineOptions{Arrivals: workload.BurstyMMPP(60), N: 48, Seed: 6}
+		out = append(out, streamVariant{
+			name: "mixed-model",
+			cluster: func(workers int) *Cluster {
+				a, b := moe.NewModel(moe.Tiny(), 11), moe.NewModel(moe.Tiny(), 12)
+				return New(Options{
+					Engines: append(testEngines(a, 2), testEngines(b, 2)...),
+					Router:  NewLeastLoaded(),
+					Workers: workers,
+				})
+			},
+			trace:  func() []workload.Request { return workload.OnlineTrace(d, moe.Tiny().SemDim, opt) },
+			source: func() workload.Source { return workload.StreamOnline(d, moe.Tiny().SemDim, opt) },
+		})
+	}
+
 	return out
 }
 
@@ -160,25 +183,108 @@ func runStreamBytes(t *testing.T, c *Cluster, run func(c *Cluster) *Result) []by
 
 // TestRunStreamByteParity is the streaming tentpole's contract: for every
 // workload shape (all four arrival processes, closed-loop sessions,
-// multi-tenant mixes, fault plans with resilience, and the combination)
-// and every worker count in {0, 1, 2, 4}, RunStream over the generator
-// source produces a ClusterResult byte-identical to RunTrace over the
-// materialized trace on the serial loop.
+// multi-tenant mixes, fault plans with resilience, the combination, and
+// a mixed-model fleet) and every worker count in {0, 1, 2, 4}, RunStream
+// over the generator source produces a ClusterResult byte-identical to
+// RunTrace over the materialized trace on the serial loop. The reference
+// run is made under GOMAXPROCS(1), where the gate-trace pipeline is off,
+// so with -cpu above 1 every other run checks the pipeline against
+// tracing at admission.
 func TestRunStreamByteParity(t *testing.T) {
 	for _, v := range streamVariants() {
 		t.Run(v.name, func(t *testing.T) {
+			ref := func() []byte {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+				return runStreamBytes(t, v.cluster(0), func(c *Cluster) *Result {
+					return c.RunTrace(v.trace())
+				})
+			}()
 			serial := runStreamBytes(t, v.cluster(0), func(c *Cluster) *Result {
 				return c.RunTrace(v.trace())
 			})
+			if string(serial) != string(ref) {
+				t.Fatalf("materialized serial run at GOMAXPROCS=%d diverges from GOMAXPROCS=1 (%d vs %d bytes)",
+					runtime.GOMAXPROCS(0), len(serial), len(ref))
+			}
 			for _, w := range []int{0, 1, 2, 4} {
 				got := runStreamBytes(t, v.cluster(w), func(c *Cluster) *Result {
 					return c.RunStream(v.source())
 				})
-				if string(got) != string(serial) {
+				if string(got) != string(ref) {
 					t.Fatalf("workers=%d: streaming run diverges from materialized serial run (%d vs %d bytes)",
-						w, len(got), len(serial))
+						w, len(got), len(ref))
 				}
 			}
 		})
+	}
+}
+
+// TestTracePipelineEngages pins when the gate-trace pipeline runs: on a
+// multi-CPU runtime over a one-model fleet it hands traces to engines
+// with empty queues only, and on one CPU or a mixed-model fleet it hands
+// off nothing.
+func TestTracePipelineEngages(t *testing.T) {
+	src := func() workload.Source {
+		return workload.StreamOnline(streamDataset(31), moe.Tiny().SemDim,
+			workload.OnlineOptions{Arrivals: workload.BurstyMMPP(600), N: 200, Seed: 5})
+	}
+	run := func(procs int, mixed bool) (handOffs, served int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		a, b := moe.NewModel(moe.Tiny(), 11), moe.NewModel(moe.Tiny(), 11)
+		if !mixed {
+			b = a
+		}
+		c := New(Options{Engines: append(testEngines(a, 2), testEngines(b, 2)...), Router: NewLeastLoaded()})
+		res := c.RunStream(src())
+		if c.ahead != nil {
+			t.Fatal("RunStream returned with its pipeline still attached")
+		}
+		return c.handOffs, res.Served
+	}
+	// At this load some arrivals find their engine's queue non-empty;
+	// their traces must be recycled, not handed off.
+	if h, n := run(2, false); h == 0 || h >= n {
+		t.Errorf("GOMAXPROCS=2, one model: %d of %d traces handed off, want some but not all", h, n)
+	}
+	if h, _ := run(1, false); h != 0 {
+		t.Errorf("GOMAXPROCS=1: %d traces handed off, want the pipeline off", h)
+	}
+	if h, _ := run(2, true); h != 0 {
+		t.Errorf("mixed-model fleet: %d traces handed off, want the pipeline off", h)
+	}
+}
+
+// panicSource yields its requests, then panics.
+type panicSource struct{ reqs []workload.Request }
+
+func (s *panicSource) Next() (workload.Request, bool) {
+	if len(s.reqs) == 0 {
+		panic("source failed")
+	}
+	q := s.reqs[0]
+	s.reqs = s.reqs[1:]
+	return q, true
+}
+
+// TestTracePipelinePanicsOnCaller: with the pipeline on, a panic in
+// Source.Next and a request whose gate trace panics both surface on the
+// goroutine that called RunStream, as they do with the pipeline off.
+func TestTracePipelinePanicsOnCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m := moe.NewModel(moe.Tiny(), 11)
+	reqs := workload.OnlineTrace(streamDataset(31), m.Cfg.SemDim,
+		workload.OnlineOptions{Arrivals: workload.Poisson{RatePerSec: 60}, N: 20, Seed: 5})
+	recovered := func(src workload.Source) (v any) {
+		defer func() { v = recover() }()
+		New(Options{Engines: testEngines(m, 2)}).RunStream(src)
+		return nil
+	}
+	if v := recovered(&panicSource{reqs: reqs}); v != "source failed" {
+		t.Errorf("Source.Next panic: recovered %v", v)
+	}
+	bad := append([]workload.Request(nil), reqs...)
+	bad[12].Embedding = bad[12].Embedding[:3]
+	if v, ok := recovered(workload.NewSliceSource(bad)).(string); !ok || !strings.Contains(v, "embedding dim") {
+		t.Errorf("invalid request: recovered %v", v)
 	}
 }

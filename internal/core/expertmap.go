@@ -145,13 +145,6 @@ type Store struct {
 	// insertion and replacement.
 	index *semIndex
 
-	// gen counts population mutations; snap caches the population slice
-	// handed out by Snapshot so repeated snapshots of an unchanged store
-	// are zero-copy (one copy per generation, not per call).
-	gen     uint64
-	snap    []*ExpertMap
-	snapGen uint64
-
 	// dedupSample bounds how many stored maps each insertion is compared
 	// against once the store is full (sampled uniformly); 0 compares
 	// against everything, reproducing §4.4 exactly at higher cost.
@@ -221,7 +214,6 @@ func (s *Store) Add(m *ExpertMap) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.adds++
-	s.gen++
 	if len(s.maps) < s.capacity {
 		s.maps = append(s.maps, m)
 		s.index.insert(len(s.maps)-1, m.Sem)
@@ -339,35 +331,17 @@ func (s *Store) SetDedupDisabled(off bool) {
 	s.dedupOff = off
 }
 
-// Snapshot returns the current map population. The slice is immutable —
-// callers must not modify it — and generation-counted: repeated snapshots
-// of an unchanged store return the same cached slice with zero copying,
-// and a mutation only invalidates the cache (the next Snapshot pays one
-// copy). The maps are shared immutable records, so concurrent searches
-// over a snapshot are race-free while inserts continue.
-func (s *Store) Snapshot() []*ExpertMap {
-	s.mu.RLock()
-	if s.snap != nil && s.snapGen == s.gen {
-		out := s.snap
-		s.mu.RUnlock()
-		return out
-	}
-	s.mu.RUnlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.snap == nil || s.snapGen != s.gen {
-		s.snap = append(make([]*ExpertMap, 0, len(s.maps)), s.maps...)
-		s.snapGen = s.gen
-	}
-	return s.snap
-}
+// Snapshot returns a copy of the current map population in store order.
+// The maps are shared immutable records, so searches over a snapshot are
+// race-free while inserts continue.
+func (s *Store) Snapshot() []*ExpertMap { return s.appendMaps(nil) }
 
-// Generation returns the store's mutation counter: two equal generations
-// bracket an unchanged population (the zero-copy snapshot contract).
-func (s *Store) Generation() uint64 {
+// appendMaps appends the current population, in store order, to dst.
+func (s *Store) appendMaps(dst []*ExpertMap) []*ExpertMap {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.gen
+	dst = append(dst, s.maps...)
+	s.mu.RUnlock()
+	return dst
 }
 
 // semSearch runs one indexed semantic search under the store lock and

@@ -262,26 +262,21 @@ func TestApproximateSearch(t *testing.T) {
 	}
 }
 
-// TestSnapshotZeroCopy pins the generation contract: unchanged stores hand
-// out the same backing slice; a mutation invalidates it exactly once.
-func TestSnapshotZeroCopy(t *testing.T) {
+// TestSnapshotIsACopy: a snapshot is the population in store order, and a
+// later Add neither changes it nor goes unseen by the next snapshot.
+func TestSnapshotIsACopy(t *testing.T) {
 	cfg := moe.Tiny()
 	s := randomStore(cfg, 50, 10, 3)
-	a, b := s.Snapshot(), s.Snapshot()
-	if &a[0] != &b[0] || len(a) != len(b) {
-		t.Fatal("repeated snapshots of an unchanged store must share backing")
-	}
-	gen := s.Generation()
-	s.Add(RandomExpertMap(cfg, 99, 3))
-	if s.Generation() == gen {
-		t.Fatal("Add did not bump the generation")
-	}
+	a := s.Snapshot()
+	added := RandomExpertMap(cfg, 99, 3)
+	s.Add(added)
 	c := s.Snapshot()
-	if len(c) != 11 {
-		t.Fatalf("post-add snapshot length %d", len(c))
+	if len(a) != 10 || len(c) != 11 || c[10] != added {
+		t.Fatalf("snapshot lengths %d then %d, want 10 then 11 ending in the added map", len(a), len(c))
 	}
-	// The pre-mutation snapshot is untouched.
-	if len(a) != 10 {
-		t.Fatalf("old snapshot length changed: %d", len(a))
+	for i := range a {
+		if a[i] != c[i] {
+			t.Fatalf("slot %d changed across an append-only Add", i)
+		}
 	}
 }

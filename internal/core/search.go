@@ -200,11 +200,7 @@ type Cursor struct {
 	layers   int
 	j        int
 	maxLayer int
-	// ownsCands marks cands as pool-owned scratch (the prefiltered case);
-	// false means cands aliases a shared store snapshot and must not be
-	// recycled.
-	ownsCands bool
-	released  bool
+	released bool
 	// scores is the pooled slotScore scratch the prefilter used, retained
 	// for the next cursor.
 	scores []slotScore
@@ -223,8 +219,10 @@ func (s *Searcher) NewCursor(sem []float64) *Cursor {
 
 // NewCursorQ starts a trajectory search for a prepared query. The
 // candidate set is the semantic top-N prefilter when configured (selected
-// through the clustered index), otherwise the full store via a zero-copy
-// snapshot. Returns nil if the store is empty.
+// through the clustered index), otherwise the full store population in
+// store order. Either way it is copied into the cursor's pooled scratch:
+// every insertion bumps the store's generation, so a shared Snapshot
+// would cost a fresh slice per cursor. Returns nil if the store is empty.
 //
 //finemoe:hotpath
 func (s *Searcher) NewCursorQ(q *Query) *Cursor {
@@ -235,10 +233,8 @@ func (s *Searcher) NewCursorQ(q *Query) *Cursor {
 	n := s.store.Len()
 	if s.prefilter > 0 && s.prefilter < n {
 		c.cands, c.scores = s.store.semTopN(q, s.nprobe, s.prefilter, c.cands[:0], c.scores)
-		c.ownsCands = true
 	} else {
-		c.cands = s.store.Snapshot()
-		c.ownsCands = false
+		c.cands = s.store.appendMaps(c.cands[:0])
 	}
 	if len(c.cands) == 0 {
 		c.recycle()
@@ -265,11 +261,6 @@ func (c *Cursor) Release() {
 }
 
 func (c *Cursor) recycle() {
-	if !c.ownsCands {
-		// cands aliases a shared snapshot — drop the reference instead of
-		// recycling its backing array.
-		c.cands = nil
-	}
 	c.released = true
 	cursorPool.Put(c)
 }

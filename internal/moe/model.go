@@ -2,6 +2,7 @@ package moe
 
 import (
 	"fmt"
+	"sync"
 
 	"finemoe/internal/rng"
 	"finemoe/internal/tensor"
@@ -31,6 +32,45 @@ type Model struct {
 	// driftW[l] is the SemDim×SemDim drift field of layer l; the
 	// within-iteration hidden walk moves along normalize(driftW[l]·x).
 	driftW [][]float64
+
+	// free is the trace storage every Tracer of the model recycles into
+	// and draws from (see Tracer.Recycle).
+	free iterFree
+}
+
+// iterFree is a model's free list of trace storage: recycled Iterations
+// and the []*Iteration slices that held them. There is one list per
+// model, behind a mutex, so a trace simulated by a Tracer on one
+// goroutine can be recycled through another Tracer on another goroutine,
+// and the list's high-water mark follows the traces live across the
+// whole fleet rather than the sum of per-engine peaks.
+type iterFree struct {
+	mu     sync.Mutex
+	its    []*Iteration
+	slices [][]*Iteration
+}
+
+// take returns dst[:0] filled with n iterations, recycled ones first. A
+// dst without storage of its own is replaced by a recycled slice.
+func (f *iterFree) take(dst []*Iteration, n int) []*Iteration {
+	dst = dst[:0]
+	f.mu.Lock()
+	if k := len(f.slices) - 1; cap(dst) == 0 && k >= 0 {
+		dst = f.slices[k]
+		f.slices[k] = nil
+		f.slices = f.slices[:k]
+	}
+	for len(dst) < n && len(f.its) > 0 {
+		k := len(f.its) - 1
+		dst = append(dst, f.its[k])
+		f.its[k] = nil
+		f.its = f.its[:k]
+	}
+	f.mu.Unlock()
+	for len(dst) < n {
+		dst = append(dst, new(Iteration))
+	}
+	return dst
 }
 
 // NewModel builds the simulated gate network for cfg. The same (cfg.Name,
@@ -462,47 +502,51 @@ func (m *Model) Trace(spec PromptSpec) []*Iteration {
 }
 
 // Tracer amortizes gate-trace simulation across requests: it reuses one
-// RequestSim's scratch buffers and recycles the Iterations of completed
-// requests through a free list, so a long serving run's steady-state trace
-// cost is pure compute. A Tracer is single-threaded, like the engine that
-// owns it.
+// RequestSim's scratch buffers and draws Iterations from its model's
+// free list, to which completed requests' traces are recycled, so a long
+// serving run's steady-state trace cost is pure compute. Trace is
+// single-threaded — give each goroutine its own Tracer — but Recycle is
+// safe from any goroutine.
 type Tracer struct {
-	m    *Model
-	sim  RequestSim
-	free []*Iteration
+	m   *Model
+	sim RequestSim
 }
 
 // NewTracer builds a tracer for m.
 func (m *Model) NewTracer() *Tracer { return &Tracer{m: m} }
 
-// Trace simulates spec like Model.Trace but appends the iterations to
-// dst[:0], drawing recycled Iterations from the free list before
-// allocating. The caller owns the result until it hands the iterations
-// back via Recycle.
+// Trace simulates spec like Model.Trace but fills dst[:0], drawing
+// recycled Iterations (and, when dst has no storage, a recycled slice)
+// from the model's free list before allocating. The caller owns the
+// result until it hands it back via Recycle. The tracer keeps nothing of
+// spec once Trace returns.
 //
 //finemoe:allocok allocates iterations only while the free list warms up; steady state recycles completed requests' iterations
 func (t *Tracer) Trace(spec PromptSpec, dst []*Iteration) []*Iteration {
-	t.sim.Reset(t.m, spec)
 	r := &t.sim
-	dst = dst[:0]
-	for !r.Done() {
-		var it *Iteration
-		if n := len(t.free); n > 0 {
-			it = t.free[n-1]
-			t.free[n-1] = nil
-			t.free = t.free[:n-1]
-		} else {
-			it = new(Iteration)
-		}
-		dst = append(dst, r.NextInto(it))
+	r.Reset(t.m, spec)
+	dst = t.m.free.take(dst, r.TotalIterations())
+	for _, it := range dst {
+		r.NextInto(it)
 	}
+	// An idle tracer would otherwise pin the prompt's embedding — and
+	// the 1024-row arena block it was cut from — until its next Trace.
+	r.spec = PromptSpec{}
 	return dst
 }
 
-// Recycle returns a completed request's iterations to the free list. The
-// caller must guarantee nothing retains the iterations or their internal
-// slices — in this repo every consumer (the store's NewExpertMap, the
-// trajectory cursor, the policies) copies what it keeps.
+// Recycle returns a completed request's iterations, and the slice that
+// held them, to the model's free list. It is safe to call from any
+// goroutine. The caller must guarantee nothing retains the iterations or
+// their internal slices — in this repo every consumer (the store's
+// NewExpertMap, the trajectory cursor, the policies) copies what it
+// keeps.
 func (t *Tracer) Recycle(its []*Iteration) {
-	t.free = append(t.free, its...)
+	f := &t.m.free
+	f.mu.Lock()
+	f.its = append(f.its, its...)
+	if cap(its) > 0 {
+		f.slices = append(f.slices, its[:0])
+	}
+	f.mu.Unlock()
 }

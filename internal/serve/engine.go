@@ -161,21 +161,20 @@ type Engine struct {
 	hits        int
 	misses      int
 
-	// Steppable run state. pendingIt is parallel to pending; a nil entry
-	// means "simulate the gate trace at admission time".
-	pending   []workload.Request
-	pendingIt [][]*moe.Iteration
+	// Steppable run state: the arrival-ordered queue, the running batch,
+	// and the metrics of completed requests.
+	pending   []pendingReq
 	running   []*runReq
 	completed []RequestMetrics
-	// tracer simulates gate traces for requests submitted without one,
-	// recycling the iterations of completed engine-traced requests.
-	// Pre-supplied traces (SubmitTraced, RunOffline/RunOnline) are
-	// caller-owned and are never recycled; runReq.ownedTrace tells the
-	// two apart. reqFree and iterSliceFree recycle the per-request
-	// bookkeeping records and their trace-slice headers.
-	tracer        *moe.Tracer
-	reqFree       []*runReq
-	iterSliceFree [][]*moe.Iteration
+	// tracer simulates gate traces for requests submitted without one and
+	// recycles engine-owned traces (its own and handed-off ones) into the
+	// model's free list when their requests complete. Caller-owned traces
+	// (SubmitTraced, RunOffline/RunOnline) are never recycled;
+	// runReq.ownedTrace tells the two apart. It is held by value, so
+	// building an engine allocates nothing for it. reqFree recycles the
+	// per-request bookkeeping records.
+	tracer  moe.Tracer
+	reqFree []*runReq
 	// batchScratch is step's reusable copy of running (finishIteration
 	// compacts e.running while the batch is iterated, so the iteration
 	// must walk a stable copy — but not a fresh one per event).
@@ -253,6 +252,7 @@ func New(opts Options) *Engine {
 		pol:       opts.Policy,
 		host:      buildHostTiers(cl.Hierarchy(), cfg, hostScorer),
 		pendingUp: map[moe.ExpertRef]float64{},
+		tracer:    *opts.Model.NewTracer(),
 	}
 	e.tierDrops = make([]int, len(e.host))
 	warmHostTiers(e.host, cfg)
@@ -374,15 +374,24 @@ func (e *Engine) account(component string, ms float64) {
 
 // --- iteration execution ----------------------------------------------------
 
+// pendingReq is a queued request with its gate trace: nil iters means
+// "simulate at admission"; owned marks a handed-off trace the engine
+// recycles when the request completes.
+type pendingReq struct {
+	req   workload.Request
+	iters []*moe.Iteration
+	owned bool
+}
+
 // runReq is a request in flight.
 type runReq struct {
 	req     workload.Request
 	iters   []*moe.Iteration
 	next    int // next iteration index
 	metrics RequestMetrics
-	// ownedTrace marks iters as engine-simulated (via the tracer), so the
-	// iterations can be recycled when the request completes. Pre-supplied
-	// traces are caller-owned and must survive the request.
+	// ownedTrace marks iters as engine-owned (simulated by the tracer or
+	// handed off), so the iterations are recycled when the request
+	// completes. Caller-owned traces must survive the request.
 	ownedTrace bool
 }
 
@@ -657,23 +666,50 @@ func (e *Engine) Submit(req workload.Request) { e.SubmitTraced(req, nil) }
 
 // SubmitTraced enqueues a request with a pre-computed gate trace (nil
 // simulates at admission), allowing simulation work to be shared across
-// policy runs.
+// policy runs. The trace stays the caller's: the engine never recycles
+// it.
 func (e *Engine) SubmitTraced(req workload.Request, iters []*moe.Iteration) {
+	e.enqueue(pendingReq{req: req, iters: iters})
+}
+
+// SubmitHandOff enqueues a request with a gate trace whose ownership
+// passes to the engine: iters must come from a Tracer of the engine's
+// model (Model), and the engine recycles them into the model's free list
+// when the request completes.
+func (e *Engine) SubmitHandOff(req workload.Request, iters []*moe.Iteration) {
+	e.enqueue(pendingReq{req: req, iters: iters, owned: iters != nil})
+}
+
+// enqueue inserts p into the pending queue.
+func (e *Engine) enqueue(p pendingReq) {
 	i := len(e.pending)
 	if !e.offline {
 		// Stable insertion by arrival time: equal arrivals keep
 		// submission order, matching the FIFO replay of RunOnline.
-		for i > 0 && e.pending[i-1].ArrivalMS > req.ArrivalMS {
+		for i > 0 && e.pending[i-1].req.ArrivalMS > p.req.ArrivalMS {
 			i--
 		}
 	}
-	e.pending = append(e.pending, workload.Request{})
+	e.pending = append(e.pending, pendingReq{})
 	copy(e.pending[i+1:], e.pending[i:])
-	e.pending[i] = req
-	e.pendingIt = append(e.pendingIt, nil)
-	copy(e.pendingIt[i+1:], e.pendingIt[i:])
-	e.pendingIt[i] = iters
+	e.pending[i] = p
 }
+
+// removePending removes and returns queue entry i by copying the tail
+// down rather than reslicing, so the backing array keeps its capacity for
+// the next enqueue; the vacated slot is zeroed so it pins no embedding or
+// trace.
+func (e *Engine) removePending(i int) pendingReq {
+	p := e.pending[i]
+	n := len(e.pending) - 1
+	copy(e.pending[i:], e.pending[i+1:])
+	e.pending[n] = pendingReq{}
+	e.pending = e.pending[:n]
+	return p
+}
+
+// Model returns the simulated model the engine serves.
+func (e *Engine) Model() *moe.Model { return e.model }
 
 // Now returns the engine's virtual clock (ms).
 func (e *Engine) Now() float64 { return e.now }
@@ -727,7 +763,7 @@ func (e *Engine) NextEventTime() float64 {
 		return e.now
 	}
 	if len(e.pending) > 0 {
-		if t := e.pending[0].ArrivalMS; !e.offline && t > e.now {
+		if t := e.pending[0].req.ArrivalMS; !e.offline && t > e.now {
 			return t
 		}
 		return e.now
@@ -812,10 +848,12 @@ func (e *Engine) CrashHarvest() []workload.Request {
 	for _, r := range e.running {
 		out = append(out, r.req)
 	}
-	out = append(out, e.pending...)
+	for _, p := range e.pending {
+		out = append(out, p.req)
+	}
 	e.running = e.running[:0]
+	clear(e.pending)
 	e.pending = e.pending[:0]
-	e.pendingIt = e.pendingIt[:0]
 	return out
 }
 
@@ -831,10 +869,9 @@ func (e *Engine) Cancel(id uint64) bool {
 			return true
 		}
 	}
-	for i, q := range e.pending {
-		if q.ID == id {
-			e.pending = append(e.pending[:i], e.pending[i+1:]...)
-			e.pendingIt = append(e.pendingIt[:i], e.pendingIt[i+1:]...)
+	for i, p := range e.pending {
+		if p.req.ID == id {
+			e.removePending(i)
 			return true
 		}
 	}
@@ -862,22 +899,10 @@ func (e *Engine) StallStagingLinks(untilMS float64) { e.cluster.StallStaging(unt
 //
 //finemoe:allocok warms the runReq and gate-trace free lists; steady-state admissions recycle completed requests' records
 func (e *Engine) admitOne(arrival float64) *runReq {
-	q := e.pending[0]
-	iters := e.pendingIt[0]
-	e.pending = e.pending[1:]
-	e.pendingIt = e.pendingIt[1:]
-	owned := false
+	p := e.removePending(0)
+	q, iters, owned := p.req, p.iters, p.owned
 	if iters == nil {
-		if e.tracer == nil {
-			e.tracer = e.model.NewTracer()
-		}
-		var slot []*moe.Iteration
-		if n := len(e.iterSliceFree); n > 0 {
-			slot = e.iterSliceFree[n-1]
-			e.iterSliceFree[n-1] = nil
-			e.iterSliceFree = e.iterSliceFree[:n-1]
-		}
-		iters = e.tracer.Trace(q.PromptSpec, slot)
+		iters = e.tracer.Trace(q.PromptSpec, nil)
 		owned = true
 	}
 	var r *runReq
@@ -901,8 +926,8 @@ func (e *Engine) admitOne(arrival float64) *runReq {
 // The returned batch aliases a scratch buffer valid until the next admit.
 func (e *Engine) admit() []*runReq {
 	fresh := e.admitScratch[:0]
-	for len(e.pending) > 0 && len(e.running) < e.opts.MaxBatch && e.pending[0].ArrivalMS <= e.now {
-		fresh = append(fresh, e.admitOne(e.pending[0].ArrivalMS))
+	for len(e.pending) > 0 && len(e.running) < e.opts.MaxBatch && e.pending[0].req.ArrivalMS <= e.now {
+		fresh = append(fresh, e.admitOne(e.pending[0].req.ArrivalMS))
 	}
 	e.admitScratch = fresh
 	return fresh
@@ -934,8 +959,8 @@ func (e *Engine) step() bool {
 		e.runBatch(e.batchScratch)
 		return true
 	}
-	if len(e.running) == 0 && e.pending[0].ArrivalMS > e.now {
-		e.now = e.pending[0].ArrivalMS
+	if len(e.running) == 0 && e.pending[0].req.ArrivalMS > e.now {
+		e.now = e.pending[0].req.ArrivalMS
 	}
 	if fresh := e.admit(); len(fresh) > 0 {
 		// Prefill newly admitted requests together.
@@ -978,14 +1003,12 @@ func (e *Engine) finishIteration(batch []*runReq, end float64) {
 					break
 				}
 			}
-			// Recycle the request's bookkeeping: engine-simulated gate
-			// traces go back to the tracer (nothing downstream retains
-			// them — see Tracer.Recycle), the trace-slice header and the
-			// runReq record to their free lists. Caller-supplied traces
-			// stay untouched.
+			// Recycle the request's bookkeeping: engine-owned gate traces
+			// go back to the model's free list (nothing downstream
+			// retains them — see Tracer.Recycle), the runReq record to
+			// the engine's. Caller-supplied traces stay untouched.
 			if r.ownedTrace {
 				e.tracer.Recycle(r.iters)
-				e.iterSliceFree = append(e.iterSliceFree, r.iters[:0])
 			}
 			*r = runReq{}
 			e.reqFree = append(e.reqFree, r)

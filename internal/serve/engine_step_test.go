@@ -119,3 +119,47 @@ func TestSubmitTracedMatchesSimulated(t *testing.T) {
 		t.Fatal("pre-traced run differs from lazily simulated run")
 	}
 }
+
+// TestHandOffTraceRecycled: a handed-off trace serves like lazy
+// simulation and returns to the model's free list when its request
+// completes, while a SubmitTraced trace stays the caller's.
+func TestHandOffTraceRecycled(t *testing.T) {
+	m := moe.NewModel(moe.Tiny(), 3)
+	trace := onlineTrace(m.Cfg, 2)
+	tr := m.NewTracer()
+	handed := tr.Trace(trace[0].PromptSpec, nil)
+	owned := m.Trace(trace[1].PromptSpec)
+	handedIts := append([]*moe.Iteration(nil), handed...)
+	ownedIts := append([]*moe.Iteration(nil), owned...)
+
+	e := stepEngine(m, finePolicy(m.Cfg))
+	e.SubmitHandOff(trace[0], handed)
+	e.SubmitTraced(trace[1], owned)
+	e.Drain()
+	want := stepEngine(m, finePolicy(m.Cfg)).RunOnline(trace, nil)
+	a, _ := json.Marshal(want)
+	b, _ := json.Marshal(e.Finalize())
+	if string(a) != string(b) {
+		t.Fatal("handed-off run differs from lazily simulated run")
+	}
+
+	// Neither request was traced by the engine, so the free list holds
+	// exactly the handed-off iterations: a trace longer than both
+	// draws all of them and then allocates.
+	spec := trace[0].PromptSpec
+	spec.OutputTokens = len(handedIts) + len(ownedIts) + 1
+	drawn := map[*moe.Iteration]bool{}
+	for _, it := range tr.Trace(spec, nil) {
+		drawn[it] = true
+	}
+	for i, it := range handedIts {
+		if !drawn[it] {
+			t.Errorf("handed-off iteration %d was not recycled into the model's free list", i)
+		}
+	}
+	for i, it := range ownedIts {
+		if drawn[it] {
+			t.Errorf("caller-owned iteration %d was recycled", i)
+		}
+	}
+}

@@ -32,6 +32,12 @@ import (
 // only one request of lookahead — it peeks the next arrival time to
 // schedule against instance events, then consumes the request — so any
 // Source drives cluster.RunStream without materializing the horizon.
+//
+// RunStream may call Next from one helper goroutine, up to 8 requests
+// ahead of the loop, to simulate gate traces there; all of a run's calls
+// still come from one goroutine, in order. A Source must therefore not
+// share unsynchronized mutable state with the run's hooks (FollowUp,
+// routers, policies). Every Source in this package is self-contained.
 type Source interface {
 	Next() (Request, bool)
 }
