@@ -25,11 +25,12 @@ vet-lint:
 fmt:
 	gofmt -w .
 
-# Regenerate the committed sharded cluster-loop baseline: a 32-instance
-# 1M-request bursty trace through the serial, sharded (workers
-# 1/2/4/NumCPU) and streaming loops, byte-parity checked, with honest
-# wall-clock ratios and memory columns (peak heap, GC cycles,
-# allocs/request) — plus the 10M-request streaming-only horizon run.
+# Regenerate the committed cluster-loop baseline: a 32-instance
+# 1M-request bursty workload served from a materialized trace and from a
+# generator stream, byte-parity checked, with wall time and memory
+# columns (peak heap, GC cycles, allocs/request) — plus the 10M-request
+# streaming-only horizon run. About 20 minutes on a 2-vCPU host, most of
+# it the horizon.
 clusterbench:
 	$(GO) run ./cmd/finemoe-bench -clusterbench BENCH_cluster.json -clusterbench-horizon 10000000
 

@@ -1,7 +1,7 @@
 package main
 
 import (
-	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -17,22 +17,22 @@ import (
 	"finemoe/internal/workload"
 )
 
-// clusterBenchRun is one loop configuration's measurement in the
-// committed BENCH_cluster.json baseline. Workers 0 is the serial
-// shared-clock loop every other run is compared against. Mode "trace"
-// consumes a fully materialized request slice; mode "stream" consumes
-// the same workload through a generator-backed workload.Source —
-// byte-identical results, streaming memory footprint.
+// clusterBenchRun is one input form's measurement in the committed
+// BENCH_cluster.json baseline. Mode "trace" consumes a fully
+// materialized request slice; mode "stream" consumes the same workload
+// through a generator-backed workload.Source — byte-identical results,
+// streaming memory footprint.
 type clusterBenchRun struct {
-	Workers         int     `json:"workers"`
-	Mode            string  `json:"mode"`
-	WallMS          float64 `json:"wall_ms"`
-	SpeedupVsSerial float64 `json:"speedup_vs_serial"`
-	ByteParity      bool    `json:"byte_parity_vs_serial"`
+	Mode   string  `json:"mode"`
+	WallMS float64 `json:"wall_ms"`
+	// ByteParity reports whether the run's full result has the trace
+	// run's SHA-256 digest (the trace run is its own reference).
+	ByteParity bool `json:"byte_parity_vs_trace"`
 	// PeakHeapBytes is the largest HeapAlloc a background sampler saw
-	// during the run; GCCycles and AllocsPerRequest are the run's GC
-	// count and heap-object allocation deltas (steady-state allocation
-	// discipline shows up here, not in wall time alone).
+	// during the run, which starts from a collected heap; GCCycles and
+	// AllocsPerRequest are the run's GC count and heap-object allocation
+	// deltas (steady-state allocation discipline shows up here, not in
+	// wall time alone).
 	PeakHeapBytes    uint64  `json:"peak_heap_bytes"`
 	GCCycles         uint32  `json:"gc_cycles"`
 	AllocsPerRequest float64 `json:"allocs_per_request"`
@@ -40,7 +40,7 @@ type clusterBenchRun struct {
 
 // clusterBenchHorizon records the long-horizon streaming run: a request
 // count far past what a materialized trace comfortably holds, driven
-// end-to-end through the generator path on the serial loop.
+// end-to-end through the generator path.
 type clusterBenchHorizon struct {
 	Requests         int     `json:"requests"`
 	Served           int     `json:"served"`
@@ -51,10 +51,9 @@ type clusterBenchHorizon struct {
 	AllocsPerRequest float64 `json:"allocs_per_request"`
 }
 
-// clusterBenchBaseline is the artifact's top-level schema. Speedups are
-// honest measurements on the generating machine — NumCPU and GOMAXPROCS
-// are recorded precisely because a single-core runner cannot show the
-// multi-core scaling the sharded loop exists for.
+// clusterBenchBaseline is the artifact's top-level schema. NumCPU and
+// GOMAXPROCS are recorded because they decide whether the gate-trace
+// pipeline runs: it needs a second CPU.
 type clusterBenchBaseline struct {
 	GeneratedBy   string               `json:"generated_by"`
 	GoVersion     string               `json:"go_version"`
@@ -75,7 +74,7 @@ type clusterBenchBaseline struct {
 
 // clusterBenchFleet builds one fresh fleet for a bench run: Tiny-model
 // FineMoE instances on the paper's testbed GPU, least-loaded routing.
-func clusterBenchFleet(m *moe.Model, instances, workers int) *cluster.Cluster {
+func clusterBenchFleet(m *moe.Model, instances int) *cluster.Cluster {
 	cfg := m.Cfg
 	engines := make([]*serve.Engine, instances)
 	for i := range engines {
@@ -87,7 +86,6 @@ func clusterBenchFleet(m *moe.Model, instances, workers int) *cluster.Cluster {
 	return cluster.New(cluster.Options{
 		Engines: engines,
 		Router:  cluster.NewLeastLoaded(),
-		Workers: workers,
 	})
 }
 
@@ -106,7 +104,10 @@ type memProbe struct {
 	numGC   uint32
 }
 
+// startMemProbe collects the heap first, so a run's peak counts only
+// what is live for that run and not garbage an earlier run left behind.
 func startMemProbe() *memProbe {
+	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return &memProbe{
@@ -126,13 +127,44 @@ func (p *memProbe) stop(dst *clusterBenchRun, n int) {
 	dst.AllocsPerRequest = float64(ms.Mallocs-p.mallocs) / float64(n)
 }
 
+// clusterBenchOutcome is what a bench run keeps of its result: the
+// result's digest and the counts the baseline reports. The result
+// itself, which holds every request's metrics, is dropped before the
+// next run so that run's peak heap does not count it.
+type clusterBenchOutcome struct {
+	digest      [sha256.Size]byte
+	served      int
+	followUps   int
+	simulatedMS float64
+}
+
+// measureClusterBench serves src on a fresh fleet and measures the run.
+func measureClusterBench(m *moe.Model, instances, n int, mode string, src workload.Source) (clusterBenchRun, clusterBenchOutcome, error) {
+	c := clusterBenchFleet(m, instances)
+	run := clusterBenchRun{Mode: mode}
+	probe := startMemProbe()
+	watch := walltime.Start()
+	res := c.RunStream(src)
+	run.WallMS = float64(watch.Elapsed().Microseconds()) / 1000
+	probe.stop(&run, n)
+	b, err := json.Marshal(res)
+	out := clusterBenchOutcome{
+		digest:      sha256.Sum256(b),
+		served:      res.Served,
+		followUps:   res.FollowUps,
+		simulatedMS: res.WallClockMS,
+	}
+	return run, out, err
+}
+
 // runClusterBench drives the cluster loop benchmark: one bursty MMPP
-// workload of n requests over a fixed fleet, run through the serial
-// loop, the sharded loop at several worker counts, and the streaming
-// (generator-source) path. Every run's full ClusterResult must be
-// byte-identical to the serial materialized loop's — a parity failure
-// aborts the benchmark — and the honest wall-clock ratios plus memory
-// columns land in the JSON baseline at path. A positive horizon adds a
+// workload of n requests over a fixed fleet, served once from a
+// materialized trace and once from the generator-backed stream. The
+// stream run's full ClusterResult must have the trace run's digest — a
+// parity failure aborts the benchmark — and the wall time plus memory
+// columns land in the JSON baseline at path. Each run starts from a
+// collected heap and holds only its own input, so the peak-heap column
+// compares the two input forms. A positive horizon adds a
 // streaming-only long-horizon run of that many requests (never
 // materialized: at 10M requests the trace alone would hold ~10⁷ request
 // records plus embeddings, which is the case the streaming path exists
@@ -145,7 +177,6 @@ func runClusterBench(path string, n, instances, horizon int) error {
 	arrivals := workload.BurstyMMPP(8 * float64(instances))
 	d := clusterBenchDataset()
 	opt := workload.OnlineOptions{Arrivals: arrivals, N: n, Seed: 42}
-	trace := workload.OnlineTrace(d, m.Cfg.SemDim, opt)
 
 	out := &clusterBenchBaseline{
 		GeneratedBy: "finemoe-bench -clusterbench",
@@ -160,63 +191,28 @@ func runClusterBench(path string, n, instances, horizon int) error {
 		Arrival:     arrivals.Name(),
 	}
 
-	measure := func(workers int, src workload.Source) ([]byte, clusterBenchRun, *cluster.Result, error) {
-		c := clusterBenchFleet(m, instances, workers)
-		run := clusterBenchRun{Workers: workers, Mode: "trace"}
-		probe := startMemProbe()
-		watch := walltime.Start()
-		var res *cluster.Result
-		if src != nil {
-			run.Mode = "stream"
-			res = c.RunStream(src)
-		} else {
-			res = c.RunTrace(trace)
-		}
-		run.WallMS = float64(watch.Elapsed().Microseconds()) / 1000
-		probe.stop(&run, n)
-		b, err := json.Marshal(res)
-		return b, run, res, err
-	}
-
-	serialBytes, serialRun, serialRes, err := measure(0, nil)
+	// The materialized trace lives only in the trace run's source, so
+	// the stream run that follows does not hold it.
+	traceRun, ref, err := measureClusterBench(m, instances, n, "trace",
+		workload.NewSliceSource(workload.OnlineTrace(d, m.Cfg.SemDim, opt)))
 	if err != nil {
 		return err
 	}
-	out.Served = serialRes.Served
-	out.FollowUps = serialRes.FollowUps
-	out.SimulatedMS = serialRes.WallClockMS
-	serialRun.SpeedupVsSerial = 1
-	serialRun.ByteParity = true
-	out.Runs = append(out.Runs, serialRun)
+	traceRun.ByteParity = true
+	out.Served = ref.served
+	out.FollowUps = ref.followUps
+	out.SimulatedMS = ref.simulatedMS
 
-	type benchCase struct {
-		workers int
-		stream  bool
+	streamRun, got, err := measureClusterBench(m, instances, n, "stream",
+		workload.StreamOnline(d, m.Cfg.SemDim, opt))
+	if err != nil {
+		return err
 	}
-	cases := []benchCase{{1, false}, {2, false}, {4, false}}
-	if nc := runtime.NumCPU(); nc != 1 && nc != 2 && nc != 4 {
-		cases = append(cases, benchCase{nc, false})
+	streamRun.ByteParity = got.digest == ref.digest
+	if !streamRun.ByteParity {
+		return fmt.Errorf("stream run diverged from the trace run (result digests %x vs %x)", got.digest, ref.digest)
 	}
-	// Streaming rows: the serial generator path (the memory-footprint
-	// headline) and the widest sharded run over the same source.
-	cases = append(cases, benchCase{0, true}, benchCase{4, true})
-	for _, bc := range cases {
-		var src workload.Source
-		if bc.stream {
-			src = workload.StreamOnline(d, m.Cfg.SemDim, opt)
-		}
-		b, run, _, err := measure(bc.workers, src)
-		if err != nil {
-			return err
-		}
-		run.SpeedupVsSerial = serialRun.WallMS / run.WallMS
-		run.ByteParity = bytes.Equal(b, serialBytes)
-		out.Runs = append(out.Runs, run)
-		if !run.ByteParity {
-			return fmt.Errorf("workers=%d mode=%s: run diverged from the serial loop (%d vs %d result bytes)",
-				bc.workers, run.Mode, len(b), len(serialBytes))
-		}
-	}
+	out.Runs = []clusterBenchRun{traceRun, streamRun}
 
 	if horizon > 0 {
 		h, err := runClusterBenchHorizon(m, d, arrivals, instances, horizon)
@@ -260,10 +256,10 @@ func (p *progressSource) Next() (workload.Request, bool) {
 	return q, ok
 }
 
-// runClusterBenchHorizon runs the streaming-only long-horizon case on
-// the serial loop and reports throughput plus memory discipline.
+// runClusterBenchHorizon runs the streaming-only long-horizon case and
+// reports throughput plus memory discipline.
 func runClusterBenchHorizon(m *moe.Model, d workload.Dataset, arrivals workload.ArrivalProcess, instances, horizon int) (*clusterBenchHorizon, error) {
-	c := clusterBenchFleet(m, instances, 0)
+	c := clusterBenchFleet(m, instances)
 	var src workload.Source = workload.StreamOnline(d, m.Cfg.SemDim, workload.OnlineOptions{
 		Arrivals: arrivals, N: horizon, Seed: 42,
 	})

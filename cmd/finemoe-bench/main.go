@@ -50,7 +50,7 @@ func main() {
 		searchBench = flag.String("searchbench", "",
 			"run the expert-map search micro-benchmarks and write the JSON baseline (BENCH_search.json) to this path, then exit")
 		clusterBench = flag.String("clusterbench", "",
-			"run the sharded cluster-loop benchmark (serial vs workers 1/2/4/NumCPU, byte-parity checked) and write the JSON baseline (BENCH_cluster.json) to this path, then exit")
+			"run the cluster-loop benchmark (materialized trace vs generator stream, byte-parity checked) and write the JSON baseline (BENCH_cluster.json) to this path, then exit")
 		clusterBenchN = flag.Int("clusterbench-n", 1_000_000,
 			"request count for -clusterbench (the committed baseline uses 1M; CI smoke uses a small value)")
 		clusterBenchInstances = flag.Int("clusterbench-instances", 32,

@@ -132,11 +132,11 @@ type Options struct {
 	// times before the parent's completion are clamped forward to it.
 	// Multi-turn session workloads ride on this hook (workload.Sessions).
 	FollowUp func(done serve.RequestMetrics, orig workload.Request) (workload.Request, bool)
-	// Workers selects the event-loop execution mode: <= 1 runs the serial
-	// shared-clock loop; > 1 shards instances across that many worker
-	// goroutines and advances them in deterministic epoch windows (see
-	// shard.go). Results are byte-identical across worker counts — the
-	// sharded loop executes exactly the serial event schedule.
+	// Workers is ignored: the cluster has one event loop.
+	//
+	// Deprecated: the epoch-sharded loop it selected never beat the
+	// serial loop and was removed (ARCHITECTURE.md, "Sharded cluster
+	// loop: removed").
 	Workers int
 	// FaultPlan, when non-empty, injects crashes, link brownouts and
 	// expert-load stalls at fixed shared-clock times (see internal/faults
@@ -189,16 +189,6 @@ type Cluster struct {
 	injected []workload.Request
 	// followUps counts injected requests.
 	followUps int
-
-	// Sharded-loop state (Workers > 1): the worker pool, the merge-sort
-	// scratch for worker step logs, and the fleet-wide minimum iteration
-	// duration bounding how soon an epoch can produce a follow-up
-	// injection (the min of Engine.MinIterationMS across the fleet,
-	// maintained as instances join).
-	workers  int
-	pool     *shardPool
-	mergeBuf []stepRecord
-	minIter  float64
 
 	// Fault-plan state: the compiled event stream, a cursor into it, the
 	// run's fault log, applied degradation windows, and the crash count.
@@ -279,8 +269,6 @@ func New(opts Options) *Cluster {
 		nextTick:  opts.AutoscaleIntervalMS,
 		initial:   len(opts.Engines),
 		followUp:  opts.FollowUp,
-		workers:   opts.Workers,
-		minIter:   math.Inf(1),
 	}
 	if c.followUp != nil {
 		c.inFlightReqs = map[uint64]workload.Request{}
@@ -317,9 +305,6 @@ func New(opts Options) *Cluster {
 		}
 		c.instances = append(c.instances, &Instance{ID: i, Engine: e, idx: i})
 		c.evtPush(i)
-		if m := e.MinIterationMS(); m < c.minIter {
-			c.minIter = m
-		}
 	}
 	c.nextID = len(c.instances)
 	return c
@@ -426,7 +411,7 @@ func (c *Cluster) ScaleEvents() []ScaleEvent { return c.events }
 // Instances returns the fleet (shared; callers must not mutate the slice).
 // The cluster caches each engine's next event time in its event heap,
 // refreshed at exactly the points the loop itself can change it (Offer's
-// Submit, Step, grow, epoch merges); a caller that mutates an engine
+// Submit, Step, grow, crash); a caller that mutates an engine
 // behind this accessor in a way that moves its next event time — e.g.
 // Submit or AdvanceClock outside Offer/Step — must call SyncEvents before
 // the next Offer/Step/RunTrace/Drain, or the loop may schedule against a
@@ -551,24 +536,15 @@ func (c *Cluster) FollowUps() int { return c.followUps }
 // order — and with it the whole run — stays deterministic. With
 // resilience on, each completion is scheduled as a resilience event at
 // its own completion time rather than applied here: cross-instance
-// effects (hedge-loser cancellation, follow-up injection) then happen at
-// a pinned point of the shared-clock schedule, identical between the
-// serial and sharded loops. Otherwise the FollowUp hook (if any) is
-// consulted directly, as before.
+// effects (hedge-loser cancellation, follow-up injection) then take
+// effect at the copy's virtual completion time, after every earlier
+// event. Otherwise the FollowUp hook (if any) is consulted directly.
 func (c *Cluster) observeCompletions(in *Instance) {
 	if c.followUp == nil && !c.resOn {
 		return
 	}
-	c.observeCompletionsTo(in, in.Engine.CompletedCount())
-}
-
-// observeCompletionsTo is observeCompletions bounded to the
-// completion-history prefix [observed, upto): the sharded loop's merge
-// step replays each epoch's completions through it in serial event
-// order, per-step slice by per-step slice.
-func (c *Cluster) observeCompletionsTo(in *Instance, upto int) {
 	done := in.Engine.Completed()
-	for _, m := range done[in.observed:upto] {
+	for _, m := range done[in.observed:] {
 		if c.resOn {
 			c.scheduleRes(resEvent{t: m.EndMS, k: rkComplete, instIdx: int32(in.idx), m: m})
 			continue
@@ -587,7 +563,7 @@ func (c *Cluster) observeCompletionsTo(in *Instance, upto int) {
 		}
 		c.inject(fu)
 	}
-	in.observed = upto
+	in.observed = len(done)
 }
 
 // inject queues a follow-up arrival, keeping the queue sorted by arrival
@@ -640,9 +616,6 @@ func (c *Cluster) autoscale(nowMS float64) {
 		e.AdvanceClock(nowMS)
 		c.instances = append(c.instances, &Instance{ID: id, Engine: e, StartedMS: nowMS, idx: len(c.instances)})
 		c.evtPush(len(c.instances) - 1)
-		if m := e.MinIterationMS(); m < c.minIter {
-			c.minIter = m
-		}
 		c.events = append(c.events, ScaleEvent{
 			TimeMS: nowMS, Kind: "grow", Instance: id, ActiveAfter: len(fleet) + 1,
 		})
@@ -744,12 +717,10 @@ func (c *Cluster) RunTrace(trace []workload.Request) *Result {
 // drawn one at a time, so a multi-million-request horizon costs the
 // in-flight window's memory, not the trace's. The shared-clock loop only
 // ever needs the NEXT pending arrival — its time to schedule against
-// instance/fault/tick events (including the sharded loop's epoch-horizon
-// computation, which caps epochs at the next cluster-level event), and
-// its payload when the arrival wins — so a one-request lookahead cursor
-// over the source reproduces the materialized loop's event schedule
-// exactly; stream_test.go pins byte parity across every workload shape,
-// fault plan and worker count.
+// instance/fault/tick events, and its payload when the arrival wins — so
+// a one-request lookahead cursor over the source reproduces the
+// materialized loop's event schedule exactly; stream_test.go pins byte
+// parity across every workload shape and fault plan.
 //
 // When the runtime has more than one CPU and the whole fleet serves one
 // model, RunStream reads src on a helper goroutine, up to traceAhead
@@ -763,15 +734,10 @@ func (c *Cluster) RunStream(src workload.Source) *Result {
 // run is the shared-clock loop behind RunStream/RunTrace (with a source)
 // and Drain (without): it merges source arrivals, injected follow-ups,
 // autoscale ticks and instance events until the source is exhausted, the
-// injected queue is empty, and every instance is drained. With Workers >
-// 1, windows of consecutive instance events are executed as sharded
-// parallel epochs (shard.go); cluster-level events and the
-// single-busy-instance path stay on this goroutine, so the event
-// schedule — and every result byte — is identical across worker counts.
+// injected queue is empty, and every instance is drained. Every event is
+// processed on this goroutine; the gate-trace pipeline's helper only
+// reads src ahead of it.
 func (c *Cluster) run(src workload.Source) {
-	if c.workers > 1 {
-		defer c.stopPool()
-	}
 	if m := c.sharedModel(); src != nil && m != nil {
 		c.ahead = startPipeline(m, src)
 		defer func() {
@@ -802,8 +768,8 @@ func (c *Cluster) run(src workload.Source) {
 		if c.scaler != nil && !idle {
 			// idle freezes ticks: with no arrivals and no instance work
 			// left, only trailing fault/resilience events remain, and the
-			// serial loop of a fault-free run would already have exited —
-			// letting ticks run on would append unbounded idle shrinks.
+			// loop of a fault-free run would already have exited — letting
+			// ticks run on would append unbounded idle shrinks.
 			tTick = c.nextTick
 		}
 		// Event priority at equal times: fault → resilience → arrival
@@ -838,35 +804,6 @@ func (c *Cluster) run(src workload.Source) {
 			c.autoscale(tTick)
 			c.nextTick += c.tickMS
 			continue
-		}
-		// Instance events strictly before every cluster-level source: a
-		// parallel epoch when at least two instances have work in the
-		// window and completion reactions provably cannot land inside it
-		// (follow-up injections and resilience completion events are
-		// pinned to their parent's completion time, which is at least one
-		// minimum iteration after the earliest pending event; a zero
-		// minimum — a device with no per-layer overhead — disables
-		// sharding rather than risking a mid-epoch event).
-		if c.workers > 1 && ((c.followUp == nil && !c.resOn) || c.minIter > 0) {
-			h := tArr
-			if tTick < h {
-				h = tTick
-			}
-			if tFault < h {
-				h = tFault
-			}
-			if tRes < h {
-				h = tRes
-			}
-			if c.followUp != nil || c.resOn {
-				if f := tInst + c.minIter; f < h {
-					h = f
-				}
-			}
-			if c.epochBusy(h) {
-				c.runEpoch(h)
-				continue
-			}
 		}
 		c.instances[which].Engine.Step(tInst)
 		c.refreshEvent(which)

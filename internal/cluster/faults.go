@@ -1,9 +1,9 @@
 // Fault-plan execution: compiled fault events (internal/faults) merge
 // into the shared-clock loop ahead of every other event source at equal
 // times, and their effects — crashed engines, degraded links, stranded
-// requests, cold replacements — are applied on the coordinator only, so
-// the fault stream and everything downstream of it is byte-identical
-// across worker counts.
+// requests, cold replacements — are applied by the loop itself, so the
+// fault stream and everything downstream of it is a pure function of the
+// plan, the trace and the seed.
 package cluster
 
 import (
@@ -146,9 +146,6 @@ func (c *Cluster) spawnReplacement(t float64) {
 	e.AdvanceClock(t)
 	c.instances = append(c.instances, &Instance{ID: id, Engine: e, StartedMS: t, idx: len(c.instances)})
 	c.evtPush(len(c.instances) - 1)
-	if m := e.MinIterationMS(); m < c.minIter {
-		c.minIter = m
-	}
 	c.events = append(c.events, ScaleEvent{
 		TimeMS: t, Kind: "replace", Instance: id, ActiveAfter: c.ActiveSize(),
 	})

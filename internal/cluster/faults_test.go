@@ -3,7 +3,6 @@ package cluster
 import (
 	"encoding/json"
 	"math"
-	"runtime"
 	"testing"
 
 	"finemoe/internal/faults"
@@ -37,13 +36,12 @@ func fullResilience() ResilienceOptions {
 
 // faultCluster builds a 4-instance fleet under the gauntlet plan with
 // the given resilience policy.
-func faultCluster(workers int, res ResilienceOptions) (*Cluster, []workload.Request) {
+func faultCluster(res ResilienceOptions) (*Cluster, []workload.Request) {
 	m := moe.NewModel(moe.Tiny(), 7)
 	return New(Options{
 		Engines:       testEngines(m, 4),
 		Router:        NewLeastLoaded(),
 		EngineFactory: func(id int) *serve.Engine { return testEngines(m, 1)[0] },
-		Workers:       workers,
 		FaultPlan:     gauntletPlan(),
 		Resilience:    res,
 	}), testTrace(m.Cfg, 48, 60, 3)
@@ -53,7 +51,7 @@ func faultCluster(workers int, res ResilienceOptions) (*Cluster, []workload.Requ
 // request on the dead instance — they are lost, counted failed, and the
 // instance leaves the fleet at detection while the rest keep serving.
 func TestCrashWithoutResilience(t *testing.T) {
-	c, trace := faultCluster(0, ResilienceOptions{})
+	c, trace := faultCluster(ResilienceOptions{})
 	res := c.RunTrace(trace)
 	if res.Crashes != 1 {
 		t.Fatalf("crashes %d, want 1", res.Crashes)
@@ -96,7 +94,7 @@ func TestCrashWithoutResilience(t *testing.T) {
 // every stranded request into a served one — no failures, with retries
 // and a "replace" scale event on the books.
 func TestResilienceRecoversCrash(t *testing.T) {
-	c, trace := faultCluster(0, fullResilience())
+	c, trace := faultCluster(fullResilience())
 	res := c.RunTrace(trace)
 	if res.FailedRequests != 0 {
 		t.Fatalf("failed %d with full resilience", res.FailedRequests)
@@ -120,7 +118,7 @@ func TestResilienceRecoversCrash(t *testing.T) {
 	}
 	// Baseline comparison: resilience must not serve fewer requests than
 	// the unprotected fleet.
-	cOff, traceOff := faultCluster(0, ResilienceOptions{})
+	cOff, traceOff := faultCluster(ResilienceOptions{})
 	off := cOff.RunTrace(traceOff)
 	if res.Served <= off.Served {
 		t.Fatalf("resilience served %d <= unprotected %d", res.Served, off.Served)
@@ -161,27 +159,20 @@ func TestHedgedRequestsResolveOnce(t *testing.T) {
 	}
 }
 
-// TestFaultParityAcrossWorkers extends the sharded-parity contract to
-// fault runs: the gauntlet with full resilience produces byte-identical
-// ClusterResults (fault log, availability counters, every metric) at
-// every worker count, and run-to-run at fixed seeds.
-func TestFaultParityAcrossWorkers(t *testing.T) {
-	run := func(workers int) string {
-		c, trace := faultCluster(workers, fullResilience())
+// TestFaultRunDeterministic: the gauntlet with full resilience produces
+// byte-identical ClusterResults (fault log, availability counters, every
+// metric) run-to-run at fixed seeds.
+func TestFaultRunDeterministic(t *testing.T) {
+	run := func() string {
+		c, trace := faultCluster(fullResilience())
 		b, err := json.Marshal(c.RunTrace(trace))
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}
 		return string(b)
 	}
-	serial := run(0)
-	if serial != run(0) {
-		t.Fatal("serial fault run not deterministic run-to-run")
-	}
-	for _, w := range []int{1, 2, 4, runtime.NumCPU()} {
-		if got := run(w); got != serial {
-			t.Fatalf("workers=%d diverges from serial fault run", w)
-		}
+	if run() != run() {
+		t.Fatal("fault run not deterministic run-to-run")
 	}
 }
 
@@ -189,7 +180,7 @@ func TestFaultParityAcrossWorkers(t *testing.T) {
 // (seed, request ID, attempt) — monotone in attempts up to the cap, and
 // jitter-bounded.
 func TestBackoffDeterminism(t *testing.T) {
-	c, _ := faultCluster(0, fullResilience())
+	c, _ := faultCluster(fullResilience())
 	for attempt := 1; attempt <= 6; attempt++ {
 		a := c.backoffMS(42, attempt)
 		if b := c.backoffMS(42, attempt); a != b {

@@ -6,7 +6,6 @@ import (
 
 	"finemoe/internal/moe"
 	"finemoe/internal/serve"
-	"finemoe/internal/workload"
 )
 
 // S1 heap-staleness audit. The cluster caches each engine's next event
@@ -112,25 +111,5 @@ func TestHeapExternalMutationRepair(t *testing.T) {
 	}
 	if tm, which := c.nextInstanceEvent(); which != -1 || !math.IsInf(tm, 1) {
 		t.Fatalf("drained fleet reports event (t=%v, i=%d)", tm, which)
-	}
-}
-
-// TestHeapStalenessShardedParity re-runs the staging-heavy interleaving
-// through RunTrace at several worker counts and cross-checks the heap at
-// the end; epoch merges must leave the cache exactly as serial stepping
-// would.
-func TestHeapStalenessShardedParity(t *testing.T) {
-	for _, workers := range []int{0, 2, 3} {
-		cfg := moe.Tiny()
-		m := moe.NewModel(cfg, 37)
-		c := New(Options{
-			Engines: stagedEngines(m, 4),
-			Router:  NewLeastLoaded(),
-			Workers: workers,
-		})
-		var trace []workload.Request
-		trace = append(trace, testTrace(cfg, 40, 55, 41)...)
-		c.RunTrace(trace)
-		checkHeapAgainstScan(t, c)
 	}
 }

@@ -8,15 +8,14 @@
 // due, queued in (time, schedule-order) order and merged into the main
 // loop between fault events and arrivals (see run). Nothing is ever
 // applied at observation time: a completion observed after an engine
-// step schedules an event at the completion's own timestamp, so the
-// serial loop and the sharded epoch loop — which observes a whole
-// window's completions at the merge barrier, replayed in serial event
-// order — assign identical event sequences and stay byte-identical.
+// step schedules an event at the completion's own timestamp, so each
+// reaction takes effect at the copy's virtual completion time, after
+// every earlier event.
 //
 // Backoff jitter is drawn from an RNG keyed by (seed, request ID,
 // attempt) via internal/rng, never from the event interleaving, so the
 // retry timing of one request is a pure function of the policy — the
-// property the backoff determinism tests pin across worker counts.
+// property the backoff determinism tests pin.
 package cluster
 
 import (
@@ -281,7 +280,7 @@ func (c *Cluster) dropRecord(rec *resRecord) {
 	}
 }
 
-// processResEvent applies one due resilience event on the coordinator.
+// processResEvent applies one due resilience event.
 func (c *Cluster) processResEvent(ev resEvent) {
 	switch ev.k {
 	case rkComplete:

@@ -17,7 +17,7 @@ import (
 // are byte-comparable.
 type streamVariant struct {
 	name    string
-	cluster func(workers int) *Cluster
+	cluster func() *Cluster
 	trace   func() []workload.Request
 	source  func() workload.Source
 }
@@ -47,12 +47,11 @@ func streamVariants() []streamVariant {
 		opt := workload.OnlineOptions{Arrivals: sh.ap, N: 48, Seed: 5}
 		out = append(out, streamVariant{
 			name: sh.name,
-			cluster: func(workers int) *Cluster {
+			cluster: func() *Cluster {
 				m := moe.NewModel(moe.Tiny(), 11)
 				return New(Options{
 					Engines: testEngines(m, 4),
 					Router:  NewLeastLoaded(),
-					Workers: workers,
 				})
 			},
 			trace:  func() []workload.Request { return workload.OnlineTrace(d, moe.Tiny().SemDim, opt) },
@@ -70,7 +69,7 @@ func streamVariants() []streamVariant {
 		}
 		return streamVariant{
 			name: name,
-			cluster: func(workers int) *Cluster {
+			cluster: func() *Cluster {
 				m := moe.NewModel(moe.Tiny(), 7)
 				sess := mkSess()
 				opts := Options{
@@ -80,7 +79,6 @@ func streamVariants() []streamVariant {
 						return sess.FollowUp(orig, done.EndMS)
 					},
 					EngineFactory: func(id int) *serve.Engine { return testEngines(m, 1)[0] },
-					Workers:       workers,
 				}
 				if plan {
 					opts.FaultPlan = gauntletPlan()
@@ -106,13 +104,12 @@ func streamVariants() []streamVariant {
 	}
 	out = append(out, streamVariant{
 		name: "tenants",
-		cluster: func(workers int) *Cluster {
+		cluster: func() *Cluster {
 			m := moe.NewModel(moe.Tiny(), 13)
 			return New(Options{
 				Engines:   testEngines(m, 4),
 				Admission: NewTokenBucket(24, 45),
 				Router:    NewRoundRobin(),
-				Workers:   workers,
 			})
 		},
 		trace: func() []workload.Request {
@@ -126,22 +123,56 @@ func streamVariants() []streamVariant {
 	// Fault plan + full resilience over a streamed trace.
 	out = append(out, streamVariant{
 		name: "faults",
-		cluster: func(workers int) *Cluster {
-			c, _ := faultCluster(workers, fullResilience())
+		cluster: func() *Cluster {
+			c, _ := faultCluster(fullResilience())
 			return c
 		},
 		trace: func() []workload.Request {
-			_, trace := faultCluster(0, fullResilience())
+			_, trace := faultCluster(fullResilience())
 			return trace
 		},
 		source: func() workload.Source {
-			_, trace := faultCluster(0, fullResilience())
+			_, trace := faultCluster(fullResilience())
 			return workload.NewSliceSource(trace)
 		},
 	})
 
 	// Everything at once: sessions + fault plan + resilience + growth.
 	out = append(out, sessVariant("combo", 19, true))
+
+	// A queue-pressure autoscaled fleet that grows one instance under
+	// load and retires one as it drains.
+	out = append(out, streamVariant{
+		name: "autoscale",
+		cluster: func() *Cluster {
+			m := moe.NewModel(moe.Tiny(), 13)
+			return New(Options{
+				Engines: testEngines(m, 2),
+				Router:  NewLeastLoaded(),
+				Autoscaler: NewQueuePressure(QueuePressureOptions{
+					HighWatermark: 2, LowWatermark: 0.5, SustainMS: 20, CooldownMS: 40,
+				}),
+				EngineFactory:       func(id int) *serve.Engine { return testEngines(m, 1)[0] },
+				MinInstances:        1,
+				MaxInstances:        6,
+				AutoscaleIntervalMS: 25,
+			})
+		},
+		trace:  func() []workload.Request { return testTrace(moe.Tiny(), 56, 200, 9) },
+		source: func() workload.Source { return testSource(moe.Tiny(), 56, 200, 9) },
+	})
+
+	// A staging-heavy fleet: most fetches cross the shared NVMe staging
+	// link.
+	out = append(out, streamVariant{
+		name: "staged",
+		cluster: func() *Cluster {
+			m := moe.NewModel(moe.Tiny(), 19)
+			return New(Options{Engines: stagedEngines(m, 4), Router: NewRoundRobin()})
+		},
+		trace:  func() []workload.Request { return testTrace(moe.Tiny(), 40, 50, 21) },
+		source: func() workload.Source { return testSource(moe.Tiny(), 40, 50, 21) },
+	})
 
 	// A mixed-model fleet: engines of two differently seeded models, so
 	// a trace simulated with the wrong model would change the bytes. The
@@ -151,12 +182,11 @@ func streamVariants() []streamVariant {
 		opt := workload.OnlineOptions{Arrivals: workload.BurstyMMPP(60), N: 48, Seed: 6}
 		out = append(out, streamVariant{
 			name: "mixed-model",
-			cluster: func(workers int) *Cluster {
+			cluster: func() *Cluster {
 				a, b := moe.NewModel(moe.Tiny(), 11), moe.NewModel(moe.Tiny(), 12)
 				return New(Options{
 					Engines: append(testEngines(a, 2), testEngines(b, 2)...),
 					Router:  NewLeastLoaded(),
-					Workers: workers,
 				})
 			},
 			trace:  func() []workload.Request { return workload.OnlineTrace(d, moe.Tiny().SemDim, opt) },
@@ -167,10 +197,13 @@ func streamVariants() []streamVariant {
 	return out
 }
 
-// runStreamBytes runs one cell and returns the JSON-encoded result.
+// runStreamBytes runs one cell, checks that the run left the next-event
+// heap in agreement with the linear scan, and returns the JSON-encoded
+// result.
 func runStreamBytes(t *testing.T, c *Cluster, run func(c *Cluster) *Result) []byte {
 	t.Helper()
 	res := run(c)
+	checkHeapAgainstScan(t, c)
 	b, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -183,10 +216,10 @@ func runStreamBytes(t *testing.T, c *Cluster, run func(c *Cluster) *Result) []by
 
 // TestRunStreamByteParity is the streaming tentpole's contract: for every
 // workload shape (all four arrival processes, closed-loop sessions,
-// multi-tenant mixes, fault plans with resilience, the combination, and
-// a mixed-model fleet) and every worker count in {0, 1, 2, 4}, RunStream
-// over the generator source produces a ClusterResult byte-identical to
-// RunTrace over the materialized trace on the serial loop. The reference
+// multi-tenant mixes, fault plans with resilience, the combination, an
+// autoscaled fleet, a staging-heavy fleet and a mixed-model fleet),
+// RunStream over the generator source produces a ClusterResult
+// byte-identical to RunTrace over the materialized trace. The reference
 // run is made under GOMAXPROCS(1), where the gate-trace pipeline is off,
 // so with -cpu above 1 every other run checks the pipeline against
 // tracing at admission.
@@ -195,25 +228,22 @@ func TestRunStreamByteParity(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			ref := func() []byte {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-				return runStreamBytes(t, v.cluster(0), func(c *Cluster) *Result {
+				return runStreamBytes(t, v.cluster(), func(c *Cluster) *Result {
 					return c.RunTrace(v.trace())
 				})
 			}()
-			serial := runStreamBytes(t, v.cluster(0), func(c *Cluster) *Result {
+			materialized := runStreamBytes(t, v.cluster(), func(c *Cluster) *Result {
 				return c.RunTrace(v.trace())
 			})
-			if string(serial) != string(ref) {
-				t.Fatalf("materialized serial run at GOMAXPROCS=%d diverges from GOMAXPROCS=1 (%d vs %d bytes)",
-					runtime.GOMAXPROCS(0), len(serial), len(ref))
+			if string(materialized) != string(ref) {
+				t.Fatalf("materialized run at GOMAXPROCS=%d diverges from GOMAXPROCS=1 (%d vs %d bytes)",
+					runtime.GOMAXPROCS(0), len(materialized), len(ref))
 			}
-			for _, w := range []int{0, 1, 2, 4} {
-				got := runStreamBytes(t, v.cluster(w), func(c *Cluster) *Result {
-					return c.RunStream(v.source())
-				})
-				if string(got) != string(ref) {
-					t.Fatalf("workers=%d: streaming run diverges from materialized serial run (%d vs %d bytes)",
-						w, len(got), len(ref))
-				}
+			got := runStreamBytes(t, v.cluster(), func(c *Cluster) *Result {
+				return c.RunStream(v.source())
+			})
+			if string(got) != string(ref) {
+				t.Fatalf("streaming run diverges from materialized run (%d vs %d bytes)", len(got), len(ref))
 			}
 		})
 	}

@@ -46,12 +46,11 @@ type Options struct {
 	// the worker count — every scenario run is a pure function of
 	// (Options, Scenario), and results are ordered by matrix position.
 	Workers int
-	// ClusterWorkers shards each scenario's cluster event loop across
-	// worker goroutines (cluster.Options.Workers): <= 1 keeps the serial
-	// loop, n > 1 advances instance shards in parallel epochs. Reports
-	// are byte-identical at every setting; the two parallelism axes
-	// compose (scenarios across Workers, instances within a scenario
-	// across ClusterWorkers).
+	// ClusterWorkers is ignored: each scenario runs on the cluster's one
+	// event loop.
+	//
+	// Deprecated: it set cluster.Options.Workers, whose epoch-sharded
+	// loop was removed.
 	ClusterWorkers int
 }
 
@@ -297,7 +296,6 @@ func (r *Runner) Run(sc Scenario) (*Report, error) {
 		Admission: adm,
 		Router:    rt,
 		FollowUp:  followUp,
-		Workers:   r.opts.ClusterWorkers,
 	}
 	if sc.Faults.faulted() {
 		copts.FaultPlan = sc.Faults.plan()

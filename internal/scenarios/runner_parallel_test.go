@@ -82,38 +82,6 @@ func TestRunMatrixParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunMatrixClusterWorkersParity: the second parallelism axis — the
-// sharded cluster event loop inside each scenario — also produces
-// byte-identical reports at every worker count, alone and composed with
-// scenario-level parallelism. This is the scenario-layer face of the
-// cluster package's own byte-parity tests, run over sessions, tenants,
-// autoscaling and affinity routing.
-func TestRunMatrixClusterWorkersParity(t *testing.T) {
-	matrix := parallelMatrix()
-	runner := func(scWorkers, clWorkers int) *Runner {
-		return NewRunner(Options{
-			Model: moe.Tiny(), NumGPUs: 2, StoreCapacity: 100,
-			MaxInput: 8, MaxOutput: 8, Seed: 5,
-			Workers: scWorkers, ClusterWorkers: clWorkers,
-		})
-	}
-	serialReps, err := runner(1, 0).RunMatrix(matrix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := serializeAll(t, serialReps)
-	for _, w := range [][2]int{{1, 2}, {1, 4}, {2, 2}, {3, 3}} {
-		reps, err := runner(w[0], w[1]).RunMatrix(matrix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := serializeAll(t, reps); got != serial {
-			t.Fatalf("workers=%d cluster-workers=%d diverged from serial:\n%s\nvs\n%s",
-				w[0], w[1], got, serial)
-		}
-	}
-}
-
 // TestRunMatrixParallelError: a failing cell surfaces the same error the
 // serial sweep would hit first (the lowest matrix index), and no partial
 // results leak.
