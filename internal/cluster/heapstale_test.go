@@ -113,3 +113,14 @@ func TestHeapExternalMutationRepair(t *testing.T) {
 		t.Fatalf("drained fleet reports event (t=%v, i=%d)", tm, which)
 	}
 }
+
+// TestHeapStalenessRunTrace runs a staging-heavy fleet through RunTrace
+// and cross-checks the heap at the end: the loop's own refresh points
+// must leave the cache exactly where the scan finds it.
+func TestHeapStalenessRunTrace(t *testing.T) {
+	cfg := moe.Tiny()
+	m := moe.NewModel(cfg, 37)
+	c := New(Options{Engines: stagedEngines(m, 4), Router: NewLeastLoaded()})
+	c.RunTrace(testTrace(cfg, 40, 55, 41))
+	checkHeapAgainstScan(t, c)
+}

@@ -197,13 +197,10 @@ func streamVariants() []streamVariant {
 	return out
 }
 
-// runStreamBytes runs one cell, checks that the run left the next-event
-// heap in agreement with the linear scan, and returns the JSON-encoded
-// result.
+// runStreamBytes runs one cell and returns the JSON-encoded result.
 func runStreamBytes(t *testing.T, c *Cluster, run func(c *Cluster) *Result) []byte {
 	t.Helper()
 	res := run(c)
-	checkHeapAgainstScan(t, c)
 	b, err := json.Marshal(res)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
@@ -245,6 +242,22 @@ func TestRunStreamByteParity(t *testing.T) {
 			if string(got) != string(ref) {
 				t.Fatalf("streaming run diverges from materialized run (%d vs %d bytes)", len(got), len(ref))
 			}
+		})
+	}
+}
+
+// TestRunStreamHeapConsistency: after RunTrace and after RunStream on
+// every fleet shape of the parity matrix, the next-event heap agrees
+// with the linear scan, so no refresh point of the loop was missed.
+func TestRunStreamHeapConsistency(t *testing.T) {
+	for _, v := range streamVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			c := v.cluster()
+			c.RunTrace(v.trace())
+			checkHeapAgainstScan(t, c)
+			c = v.cluster()
+			c.RunStream(v.source())
+			checkHeapAgainstScan(t, c)
 		})
 	}
 }
