@@ -7,7 +7,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -19,9 +18,13 @@ import (
 
 // ExpertMap records one inference iteration in fine granularity: the gate
 // network's probability distribution over experts at every layer, plus the
-// iteration's semantic embedding (§4.1). Maps are immutable once stored;
-// probabilities are kept in float32, matching the paper's PyTorch/NumPy
-// ndarray storage and its Fig. 18 memory accounting.
+// iteration's semantic embedding (§4.1). Probabilities are kept in
+// float32, matching the paper's PyTorch/NumPy ndarray storage and its
+// Fig. 18 memory accounting.
+//
+// A stored map is read-only to everyone but its store, which overwrites
+// the maps it built once it has evicted them; Store says how long a map
+// obtained from it stays valid.
 type ExpertMap struct {
 	// ReqID and Iter identify the iteration that produced the map.
 	ReqID uint64
@@ -41,26 +44,41 @@ type ExpertMap struct {
 
 // NewExpertMap builds a map from an observed iteration.
 func NewExpertMap(cfg moe.Config, reqID uint64, it *moe.Iteration) *ExpertMap {
-	if len(it.Probs) != cfg.Layers {
-		panic(fmt.Sprintf("core: iteration has %d layers, model %d", len(it.Probs), cfg.Layers))
-	}
-	m := &ExpertMap{
-		ReqID: reqID,
-		Iter:  it.Index,
-		Sem:   tensor.Float32s(it.Semantic),
-		Traj:  make([]float32, cfg.Layers*cfg.RoutedExperts),
-	}
-	for l, p := range it.Probs {
-		if len(p) != cfg.RoutedExperts {
-			panic(fmt.Sprintf("core: layer %d has %d experts, model %d", l, len(p), cfg.RoutedExperts))
-		}
-		for j, v := range p {
-			m.Traj[l*cfg.RoutedExperts+j] = float32(v)
-		}
-	}
-	m.buildPrefixNorms(cfg.RoutedExperts)
-	m.semNorm2 = tensor.Norm2F32(m.Sem)
+	m := new(ExpertMap)
+	m.fill(cfg, reqID, it)
 	return m
+}
+
+// fill overwrites m with an observed iteration, reusing m's buffers when
+// they are large enough. Every map built from an iteration goes through
+// here, so a recycled map holds the same bits as a fresh one.
+func (m *ExpertMap) fill(cfg moe.Config, reqID uint64, it *moe.Iteration) {
+	if len(it.Probs) != cfg.Layers {
+		panic("core: iteration layer count differs from the model's")
+	}
+	m.ReqID, m.Iter = reqID, it.Index
+	if cap(m.Sem) < len(it.Semantic) {
+		m.Sem = make([]float32, len(it.Semantic))
+	}
+	m.Sem = m.Sem[:len(it.Semantic)]
+	for i, x := range it.Semantic {
+		m.Sem[i] = float32(x)
+	}
+	j := cfg.RoutedExperts
+	if cap(m.Traj) < cfg.Layers*j {
+		m.Traj = make([]float32, cfg.Layers*j)
+	}
+	m.Traj = m.Traj[:cfg.Layers*j]
+	for l, p := range it.Probs {
+		if len(p) != j {
+			panic("core: layer expert count differs from the model's")
+		}
+		for k, v := range p {
+			m.Traj[l*j+k] = float32(v)
+		}
+	}
+	m.buildPrefixNorms(j)
+	m.semNorm2 = tensor.Norm2F32(m.Sem)
 }
 
 // RandomExpertMap synthesizes a structurally valid expert map from a seed:
@@ -94,7 +112,10 @@ func RandomExpertMap(cfg moe.Config, reqID uint64, seed uint64) *ExpertMap {
 
 func (m *ExpertMap) buildPrefixNorms(j int) {
 	layers := len(m.Traj) / j
-	m.prefixNorm2 = make([]float64, layers)
+	if cap(m.prefixNorm2) < layers {
+		m.prefixNorm2 = make([]float64, layers)
+	}
+	m.prefixNorm2 = m.prefixNorm2[:layers]
 	var acc float64
 	for l := 0; l < layers; l++ {
 		for _, v := range m.Traj[l*j : (l+1)*j] {
@@ -127,7 +148,15 @@ func (m *ExpertMap) Bytes() int64 { return int64(len(m.Traj)+len(m.Sem)) * 4 }
 // (subscriber). When full, redundancy-scored deduplication replaces the
 // stored map most similar to the incoming one, preserving diversity (§4.4).
 //
-// Store is safe for concurrent use; returned snapshots are immutable.
+// Store is safe for concurrent use. A full store's AddIteration is
+// allocation-free: it fills a spare map in place and keeps the map it
+// evicts as the next spare. Only maps the store built itself are
+// recycled, and only while nothing outside the store can hold them
+// beyond one update: Clone and Snapshot give up the store's claim on
+// every map they share, and maps passed to Add are never reused. So a
+// map returned by a search (SearchResult.Map, a cursor candidate) is
+// valid until the next Add or AddIteration on this store returns, while
+// the maps in a snapshot or shared with a clone stay valid for good.
 type Store struct {
 	mu       sync.RWMutex
 	cfg      moe.Config
@@ -139,6 +168,14 @@ type Store struct {
 	semW float64
 	d    int
 	maps []*ExpertMap
+	// owned[i] reports that maps[i] was built by AddIteration and has not
+	// since been shared by Clone or Snapshot, so once evicted it may be
+	// overwritten.
+	owned []bool
+	// spare is an evicted owned map that the next AddIteration fills in
+	// place instead of allocating a new one; nil until the store first
+	// evicts a map it owns.
+	spare *ExpertMap
 
 	// index clusters the population's semantic embeddings so searches are
 	// sublinear (see index.go); maintained incrementally on every
@@ -210,12 +247,40 @@ func (s *Store) MemoryBytes() int64 {
 // Add inserts a map, deduplicating against the incumbent population when at
 // capacity: the stored map with the highest redundancy score against the
 // newcomer is replaced (§4.4).
+//
+// The store never writes to m; the caller must not change it while it
+// is stored.
 func (s *Store) Add(m *ExpertMap) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.addLocked(m, false)
+}
+
+// AddIteration records an observed iteration (the paper's Step 5). Once
+// the store has evicted a map it built, the new map reuses that map's
+// memory, so a full store's update allocates nothing.
+//
+//finemoe:hotpath
+func (s *Store) AddIteration(reqID uint64, it *moe.Iteration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m := s.spare
+	s.spare = nil
+	if m == nil {
+		m = new(ExpertMap)
+	}
+	m.fill(s.cfg, reqID, it)
+	s.addLocked(m, true)
+}
+
+// addLocked inserts m, replacing the most redundant stored map when at
+// capacity (§4.4). owned marks a map the store built and may recycle; an
+// evicted owned map becomes the spare.
+func (s *Store) addLocked(m *ExpertMap, owned bool) {
 	s.adds++
 	if len(s.maps) < s.capacity {
 		s.maps = append(s.maps, m)
+		s.owned = append(s.owned, owned)
 		s.index.insert(len(s.maps)-1, m.Sem)
 		return
 	}
@@ -226,15 +291,14 @@ func (s *Store) Add(m *ExpertMap) {
 	} else {
 		idx = s.mostRedundantLocked(m)
 	}
+	if s.owned[idx] {
+		s.spare = s.maps[idx]
+	}
 	s.index.remove(idx)
 	s.maps[idx] = m
+	s.owned[idx] = owned
 	s.index.insert(idx, m.Sem)
 	s.replaced++
-}
-
-// AddIteration records an observed iteration (the paper's Step 5).
-func (s *Store) AddIteration(reqID uint64, it *moe.Iteration) {
-	s.Add(NewExpertMap(s.cfg, reqID, it))
 }
 
 // Redundancy returns RDY(a,b) = d/L·cos(sem) + (L−d)/L·cos(traj) (§4.4).
@@ -302,20 +366,21 @@ func (s *Store) mostRedundantLocked(m *ExpertMap) int {
 }
 
 // Clone returns an independent store with the same configuration and the
-// current map population. Maps are immutable and shared; subsequent Adds to
-// either store do not affect the other. The experiment harness clones one
-// prototype store per (model, dataset) so each serving run mutates its own
-// copy.
+// current map population. The maps are shared, so neither store recycles
+// them; subsequent Adds to either store do not affect the other. The
+// experiment harness clones one prototype store per (model, dataset) so
+// each serving run mutates its own copy.
 func (s *Store) Clone() *Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	maps := s.Snapshot()
 	c := NewStore(s.cfg, s.capacity, s.d)
-	c.dedupSample = s.dedupSample
-	c.dedupOff = s.dedupOff
-	c.maps = make([]*ExpertMap, len(s.maps))
-	copy(c.maps, s.maps)
+	s.mu.RLock()
+	c.dedupSample, c.dedupOff = s.dedupSample, s.dedupOff
+	s.mu.RUnlock()
+	c.maps = maps
+	c.owned = make([]bool, len(maps))
 	// Rebuild the clone's index from the copied population in slot order —
 	// deterministic, and independent of the original's insertion history.
+	// Shared maps are never overwritten, so this reads them unlocked.
 	for i, m := range c.maps {
 		c.index.insert(i, m.Sem)
 	}
@@ -332,11 +397,18 @@ func (s *Store) SetDedupDisabled(off bool) {
 }
 
 // Snapshot returns a copy of the current map population in store order.
-// The maps are shared immutable records, so searches over a snapshot are
-// race-free while inserts continue.
-func (s *Store) Snapshot() []*ExpertMap { return s.appendMaps(nil) }
+// The store stops recycling every map the snapshot holds, so the maps stay
+// valid, and searches over a snapshot are race-free while inserts
+// continue.
+func (s *Store) Snapshot() []*ExpertMap {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	clear(s.owned)
+	return append([]*ExpertMap(nil), s.maps...)
+}
 
-// appendMaps appends the current population, in store order, to dst.
+// appendMaps appends the current population, in store order, to dst. The
+// maps are valid until the next Add or AddIteration returns.
 func (s *Store) appendMaps(dst []*ExpertMap) []*ExpertMap {
 	s.mu.RLock()
 	dst = append(dst, s.maps...)

@@ -65,6 +65,13 @@ type FineMoE struct {
 	// the same hook path. A FineMoE instance is never shared across
 	// engines.
 	//
+	// The same discipline keeps searched maps valid. The semantic match
+	// and the cursor's candidates are read only from StartIteration to the
+	// iteration's last OnGate, and the store is updated only in
+	// EndIteration, which may recycle any map the store evicts (see
+	// Store); the next StartIteration replaces both before they are read
+	// again.
+	//
 	// reqs tracks per-request iteration state (trajectory cursors).
 	reqs map[uint64]*reqState
 	// stFree recycles reqState records: StartIteration builds one per
@@ -316,6 +323,12 @@ func (f *FineMoE) OnGate(layer int, views []policy.LayerView, now float64) float
 			}
 		}
 	}
+	// Only layers with a target ahead read the cursor, and StartIteration
+	// replaces it, so the last d layers are not observed at all.
+	target := layer + f.d
+	if target >= f.cfg.Layers {
+		return 0
+	}
 	var syncDelay float64
 	for _, v := range views {
 		st := f.reqs[v.ReqID]
@@ -323,10 +336,6 @@ func (f *FineMoE) OnGate(layer int, views []policy.LayerView, now float64) float
 			continue
 		}
 		st.cursor.Observe(v.Probs)
-		target := layer + f.d
-		if target >= f.cfg.Layers {
-			continue
-		}
 		trajLat := f.searcher.TrajectoryLatencyMS()
 		f.Account(policy.CompMapMatch, trajLat)
 		issueAt := now + trajLat

@@ -75,14 +75,13 @@ func PredictIteration(s *Searcher, it *moe.Iteration, opt PredictOptions) Predic
 	cur := s.NewCursorQ(q)
 	q.Release()
 	defer cur.Release()
-	for lNow := 0; lNow < cfg.Layers; lNow++ {
+	// Layer lNow's observation guides layer lNow+D; the last D layers
+	// guide nothing, so the loop stops before observing them.
+	for lNow := 0; lNow+opt.D < cfg.Layers; lNow++ {
 		if cur != nil {
 			cur.Observe(it.Probs[lNow])
 		}
 		target := lNow + opt.D
-		if target >= cfg.Layers {
-			continue
-		}
 		if opt.UseTrajectory && cur != nil {
 			if res, ok := cur.Best(); ok {
 				pred.Sets[target] = selectFrom(res, target)

@@ -9,7 +9,9 @@ import (
 )
 
 // SearchResult is a searched expert map with its similarity score — the
-// score drives the dynamic selection threshold δ (§4.3).
+// score drives the dynamic selection threshold δ (§4.3). Map still belongs
+// to the store: it is valid until the next Add or AddIteration on that
+// store returns, after which the store may have recycled it (see Store).
 type SearchResult struct {
 	Map   *ExpertMap
 	Score float64
@@ -220,9 +222,11 @@ func (s *Searcher) NewCursor(sem []float64) *Cursor {
 // NewCursorQ starts a trajectory search for a prepared query. The
 // candidate set is the semantic top-N prefilter when configured (selected
 // through the clustered index), otherwise the full store population in
-// store order. Either way it is copied into the cursor's pooled scratch:
-// every insertion bumps the store's generation, so a shared Snapshot
-// would cost a fresh slice per cursor. Returns nil if the store is empty.
+// store order. Either way the candidates are copied into the cursor's
+// pooled scratch, and like a SearchResult they are valid only until the
+// next Add or AddIteration on the store returns: Observe and Best must
+// run before the store is next updated. Returns nil if the store is
+// empty.
 //
 //finemoe:hotpath
 func (s *Searcher) NewCursorQ(q *Query) *Cursor {

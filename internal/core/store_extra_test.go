@@ -1,10 +1,13 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
 	"finemoe/internal/moe"
+	"finemoe/internal/raceflag"
 )
 
 func TestStoreCloneIndependence(t *testing.T) {
@@ -27,7 +30,132 @@ func TestStoreCloneIndependence(t *testing.T) {
 	}
 	// Shared maps are identical pointers (cheap clone).
 	if s.Snapshot()[0] != clone.Snapshot()[0] {
-		t.Fatal("clone copied immutable maps needlessly")
+		t.Fatal("clone copied shared maps needlessly")
+	}
+
+	// Recycling must never reach a map held outside the store that built
+	// it: maps shared between a store and its clone, maps handed out in a
+	// snapshot, and a map given to Add keep their contents after both
+	// stores evict them and fill their spares many times over.
+	iters := testIterations(cfg, m, 40)
+	orig := NewStore(cfg, 6, 2)
+	next := 0
+	feed := func(st *Store) {
+		st.AddIteration(uint64(next), iters[next%len(iters)])
+		next++
+	}
+	for i := 0; i < 10; i++ {
+		feed(orig) // full, and already recycling its own maps
+	}
+	if orig.spare == nil {
+		t.Fatal("a full store kept no spare after evicting its own maps")
+	}
+	shared := slices.Clone(orig.maps)
+	c := orig.Clone()
+	given := NewExpertMap(cfg, 999, iters[len(iters)-1])
+	c.Add(given)
+	evictAll(t, orig, feed, "shared with a clone", shared)
+	evictAll(t, c, feed, "shared with the original", shared)
+	evictAll(t, c, feed, "given to Add", []*ExpertMap{given})
+	evictAll(t, orig, feed, "handed out in a snapshot", orig.Snapshot())
+}
+
+// testIterations traces prompts over eight topics until at least n
+// iterations are collected.
+func testIterations(cfg moe.Config, m *moe.Model, n int) []*moe.Iteration {
+	var iters []*moe.Iteration
+	for p := uint64(0); len(iters) < n; p++ {
+		iters = append(iters, m.Trace(testPrompt(cfg, p, p%8, 4, 5))...)
+	}
+	return iters
+}
+
+// evictAll feeds st until it has stored none of maps for twice its
+// capacity in updates, so every spare it kept since evicting them has been
+// filled, and fails as soon as one of maps changes.
+func evictAll(t *testing.T, st *Store, feed func(*Store), what string, maps []*ExpertMap) {
+	t.Helper()
+	copies := make([]ExpertMap, len(maps))
+	for i, m := range maps {
+		copies[i] = *m
+		copies[i].Sem = slices.Clone(m.Sem)
+		copies[i].Traj = slices.Clone(m.Traj)
+		copies[i].prefixNorm2 = slices.Clone(m.prefixNorm2)
+	}
+	stored := func(m *ExpertMap) bool { return slices.Contains(maps, m) }
+	for n, clean := 0, 0; clean < 2*st.Capacity(); n++ {
+		if n > 5000 {
+			t.Fatalf("store never evicted the maps %s", what)
+		}
+		feed(st)
+		for i, m := range maps {
+			if !sameBits(m, &copies[i]) {
+				t.Fatalf("map %d %s was overwritten: req %d iter %d, was req %d iter %d",
+					i, what, m.ReqID, m.Iter, copies[i].ReqID, copies[i].Iter)
+			}
+		}
+		if clean > 0 || !slices.ContainsFunc(st.maps, stored) {
+			clean++
+		}
+	}
+}
+
+// sameBits reports whether two maps hold bit-identical contents.
+func sameBits(a, b *ExpertMap) bool {
+	f32 := func(x, y []float32) bool {
+		return slices.EqualFunc(x, y, func(p, q float32) bool { return math.Float32bits(p) == math.Float32bits(q) })
+	}
+	f64 := func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+	}
+	return a.ReqID == b.ReqID && a.Iter == b.Iter &&
+		f32(a.Sem, b.Sem) && f32(a.Traj, b.Traj) && f64(a.prefixNorm2, b.prefixNorm2) &&
+		math.Float64bits(a.semNorm2) == math.Float64bits(b.semNorm2)
+}
+
+// TestFillMatchesNewExpertMap: filling a map that held another iteration,
+// or a zero map, gives the bits of a freshly built one, and reuses the old
+// map's buffers.
+func TestFillMatchesNewExpertMap(t *testing.T) {
+	cfg := moe.Tiny()
+	m := moe.NewModel(cfg, 68)
+	old := m.Trace(testPrompt(cfg, 1, 0, 4, 3))
+	for i, it := range m.Trace(testPrompt(cfg, 2, 5, 4, 3)) {
+		want := NewExpertMap(cfg, 2, it)
+		reused := NewExpertMap(cfg, 1, old[(i+1)%len(old)])
+		traj := &reused.Traj[0]
+		reused.fill(cfg, 2, it)
+		if &reused.Traj[0] != traj {
+			t.Fatal("fill reallocated a buffer that was large enough")
+		}
+		var zero ExpertMap
+		zero.fill(cfg, 2, it)
+		if !sameBits(reused, want) || !sameBits(&zero, want) {
+			t.Fatalf("iteration %d: filled map differs from NewExpertMap", i)
+		}
+	}
+}
+
+// TestAddIterationAllocatesNothingWhenFull: once a full store has evicted
+// one of its own maps, every update reuses the evicted map's memory.
+func TestAddIterationAllocatesNothingWhenFull(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cfg := moe.Tiny()
+	m := moe.NewModel(cfg, 67)
+	iters := testIterations(cfg, m, 120)
+	s := NewStore(cfg, 16, 2)
+	for i, it := range iters {
+		s.AddIteration(uint64(i), it)
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(200, func() {
+		s.AddIteration(uint64(k), iters[k%len(iters)])
+		k++
+	})
+	if allocs != 0 {
+		t.Fatalf("AddIteration on a full store allocates %.1f objects per call", allocs)
 	}
 }
 
@@ -66,7 +194,9 @@ func TestStoreConcurrentAddAndSearch(t *testing.T) {
 	var wg sync.WaitGroup
 	// Writers publish new maps while readers search snapshots — the
 	// §4.3 publisher/subscriber pattern must be race-free (run under
-	// -race in CI).
+	// -race in CI). The store never fills, so no map is recycled and the
+	// readers may dereference what they find; a full store's maps live
+	// only until the next update (TestStoreConcurrentEvictAndSearch).
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func(seed uint64) {
@@ -97,6 +227,64 @@ func TestStoreConcurrentAddAndSearch(t *testing.T) {
 			}
 		}()
 	}
+	wg.Wait()
+}
+
+// TestStoreConcurrentEvictAndSearch runs evicting updates on a small store
+// while other goroutines search it, clone it and snapshot it, so the
+// spare map and the owned flags are shared across goroutines (run under
+// -race). Searchers read only the score: a returned map may be recycled
+// by the next update.
+func TestStoreConcurrentEvictAndSearch(t *testing.T) {
+	cfg := moe.Tiny()
+	m := moe.NewModel(cfg, 69)
+	s := NewStore(cfg, 6, 2)
+	searcher := NewSearcher(s, 0)
+	base := m.Trace(testPrompt(cfg, 1, 0, 4, 6))
+	for _, it := range base {
+		s.AddIteration(1, it)
+	}
+	var wg sync.WaitGroup
+	for w := uint64(10); w < 13; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := uint64(0); p < 8; p++ {
+				for _, it := range m.Trace(testPrompt(cfg, w*100+p, p%4, 4, 6)) {
+					s.AddIteration(w, it)
+				}
+			}
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				res, ok := searcher.SemanticSearch(base[i%len(base)].Semantic)
+				if !ok || res.Score < -1 || res.Score > 1 {
+					t.Errorf("search on a full store: ok=%v score=%v", ok, res.Score)
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if c := s.Clone(); c.Len() != s.Capacity() {
+				t.Errorf("clone holds %d maps, want %d", c.Len(), s.Capacity())
+				return
+			}
+			for _, em := range s.Snapshot() {
+				if len(em.Traj) != cfg.Layers*cfg.RoutedExperts {
+					t.Errorf("snapshot map has %d trajectory values", len(em.Traj))
+					return
+				}
+			}
+		}
+	}()
 	wg.Wait()
 }
 

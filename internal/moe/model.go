@@ -539,7 +539,7 @@ func (t *Tracer) Trace(spec PromptSpec, dst []*Iteration) []*Iteration {
 // held them, to the model's free list. It is safe to call from any
 // goroutine. The caller must guarantee nothing retains the iterations or
 // their internal slices — in this repo every consumer (the store's
-// NewExpertMap, the trajectory cursor, the policies) copies what it
+// AddIteration, the trajectory cursor, the policies) copies what it
 // keeps.
 func (t *Tracer) Recycle(its []*Iteration) {
 	f := &t.m.free
