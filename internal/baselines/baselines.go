@@ -150,7 +150,7 @@ func (m *MixtralOffload) speculateAndLoad(hidden []float64, target int, now floa
 			missing = append(missing, ref)
 		}
 	}
-	m.Account(policy.CompPredict, m.SpecOverheadMS)
+	m.RT.Account(policy.CompPredict, m.SpecOverheadMS)
 	delay := m.SpecOverheadMS
 	if len(missing) > 0 {
 		end := m.RT.SyncLoad(missing, now+delay)
@@ -213,7 +213,7 @@ func (p *ProMoE) OnGate(layer int, views []policy.LayerView, now float64) float6
 		}
 		delay += p.PredictorMS
 	}
-	p.Account(policy.CompPredict, p.PredictorMS*float64(len(views)))
+	p.RT.Account(policy.CompPredict, p.PredictorMS*float64(len(views)))
 	return delay
 }
 
@@ -430,7 +430,7 @@ func (m *MoEInfinity) StartIteration(views []policy.IterView, now float64) float
 			continue
 		}
 		delay += m.SearchMS
-		m.Account(policy.CompMapMatch, m.SearchMS)
+		m.RT.Account(policy.CompMapMatch, m.SearchMS)
 		matched, _, ok := m.coll.Search(partial)
 		for l := 0; l < m.cfg.Layers; l++ {
 			var experts []int
@@ -470,7 +470,7 @@ func (m *MoEInfinity) OnGate(layer int, views []policy.LayerView, now float64) f
 		partial.ObserveLayer(m.cfg, layer, tensor.TopK(v.Probs, m.cfg.TopK))
 		delay += m.SearchMS * 0.5 // per-layer synchronous re-prediction
 	}
-	m.Account(policy.CompMapMatch, delay)
+	m.RT.Account(policy.CompMapMatch, delay)
 	return delay
 }
 

@@ -59,6 +59,7 @@ func (f *fakeRT) Promote(ref moe.ExpertRef, priority, issueTime float64) bool {
 }
 func (f *fakeRT) Demote(moe.ExpertRef, float64) bool { return false }
 func (f *fakeRT) MemoryPressure() float64            { return 0 }
+func (f *fakeRT) Account(policy.Component, float64)  {}
 
 func TestNoOffloadIsInert(t *testing.T) {
 	p := NewNoOffload()

@@ -242,7 +242,7 @@ func (c *Cache) Insert(ref moe.ExpertRef, now float64) []moe.ExpertRef {
 	}
 	c.evictScratch = c.evictScratch[:0]
 	for c.n >= c.capacity {
-		victim, ok := c.pickVictim(now)
+		victim, ok := c.pickVictim(now, true)
 		if !ok {
 			if c.strictPinned {
 				// Every entry is pinned (an in-flight DMA source);
@@ -252,7 +252,7 @@ func (c *Cache) Insert(ref moe.ExpertRef, now float64) []moe.ExpertRef {
 			}
 			// Everything is pinned; evict anyway (last resort) so
 			// the activated expert can be served — but count it.
-			victim, ok = c.pickVictimIncludingPinned(now)
+			victim, ok = c.pickVictim(now, false)
 			if !ok {
 				c.stats.RejectedInserts++
 				return c.evictScratch
@@ -289,36 +289,18 @@ func (c *Cache) newMeta() *Meta {
 	return &Meta{}
 }
 
-// pickVictim scans the dense table in ascending (layer, expert) order: a
-// strict-greater argmax over an in-order scan keeps the lowest ref among
-// ties, exactly the less() tie-break the map-backed cache applied, so the
-// victim sequence — and every downstream byte — is unchanged.
-func (c *Cache) pickVictim(now float64) (moe.ExpertRef, bool) {
+// pickVictim returns the highest-scoring resident, skipping pinned ones
+// when skipPinned is set. The scan runs in ascending (layer, expert)
+// order and replaces only on a strictly greater score, so ties go to the
+// lowest ref by less(): the victim order TestDeterministicTieBreak and
+// the goldens pin.
+func (c *Cache) pickVictim(now float64, skipPinned bool) (moe.ExpertRef, bool) {
 	var best moe.ExpertRef
 	bestScore := 0.0
 	found := false
 	for l, row := range c.byLayer {
 		for e, m := range row {
-			if m == nil || m.Pinned {
-				continue
-			}
-			ref := moe.ExpertRef{Layer: l, Expert: e}
-			s := c.scorer.Score(ref, *m, now)
-			if !found || s > bestScore {
-				best, bestScore, found = ref, s, true
-			}
-		}
-	}
-	return best, found
-}
-
-func (c *Cache) pickVictimIncludingPinned(now float64) (moe.ExpertRef, bool) {
-	var best moe.ExpertRef
-	bestScore := 0.0
-	found := false
-	for l, row := range c.byLayer {
-		for e, m := range row {
-			if m == nil {
+			if m == nil || (skipPinned && m.Pinned) {
 				continue
 			}
 			ref := moe.ExpertRef{Layer: l, Expert: e}

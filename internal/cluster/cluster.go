@@ -24,9 +24,10 @@ import (
 
 // Instance is one serving replica: an engine plus fleet bookkeeping.
 type Instance struct {
-	// ID is the instance's stable identity within the fleet. IDs are
-	// assigned monotonically and never reused, so they survive fleet
-	// resizes (an instance keeps its ID when others join or retire).
+	// ID is the instance's stable identity within the fleet and its
+	// index in the cluster's append-only instance list: IDs are assigned
+	// in joining order and never reused, so an instance keeps its ID when
+	// others join or retire.
 	ID int
 	// Engine is the replica's serving engine (its own policy and cache).
 	Engine *serve.Engine
@@ -53,9 +54,6 @@ type Instance struct {
 	// observed is the prefix of the engine's completion history the
 	// cluster has already consulted for follow-up injection.
 	observed int
-	// idx is the instance's position in the cluster's instances slice
-	// (append-only, so stable) — the key into the next-event heap.
-	idx int
 }
 
 // State snapshots the instance's load view for admission and routing.
@@ -161,7 +159,6 @@ type Cluster struct {
 	maxInst  int
 	tickMS   float64
 	nextTick float64
-	nextID   int
 	initial  int
 	events   []ScaleEvent
 
@@ -303,10 +300,9 @@ func New(opts Options) *Cluster {
 		if e == nil {
 			panic("cluster: nil engine")
 		}
-		c.instances = append(c.instances, &Instance{ID: i, Engine: e, idx: i})
+		c.instances = append(c.instances, &Instance{ID: i, Engine: e})
 		c.evtPush(i)
 	}
-	c.nextID = len(c.instances)
 	return c
 }
 
@@ -465,16 +461,6 @@ func (c *Cluster) activeStates() []InstanceState {
 	return out
 }
 
-// instanceByID returns the instance with the given stable ID.
-func (c *Cluster) instanceByID(id int) *Instance {
-	for _, in := range c.instances {
-		if in.ID == id {
-			return in
-		}
-	}
-	panic("cluster: unknown instance id")
-}
-
 // Offer runs one request through admission and routing at the request's
 // arrival time (clamped forward to the cluster clock) and submits it to
 // the chosen instance. Returns the instance ID, or -1 when admission
@@ -509,7 +495,7 @@ func (c *Cluster) offer(req workload.Request, its []*moe.Iteration) int {
 	if i < 0 || i >= len(fleet) {
 		panic("cluster: router returned out-of-range instance")
 	}
-	in := c.instanceByID(fleet[i].ID)
+	in := c.instances[fleet[i].ID]
 	in.Submitted++
 	if its != nil && in.Engine.QueueDepth() == 0 && in.Engine.Model() == c.ahead.model {
 		in.Engine.SubmitHandOff(req, its)
@@ -518,7 +504,7 @@ func (c *Cluster) offer(req workload.Request, its []*moe.Iteration) int {
 		c.ahead.recycle(its)
 		in.Engine.Submit(req)
 	}
-	c.refreshEvent(in.idx)
+	c.refreshEvent(in.ID)
 	if c.resOn {
 		c.trackDispatch(req, in)
 	} else if c.followUp != nil {
@@ -546,7 +532,7 @@ func (c *Cluster) observeCompletions(in *Instance) {
 	done := in.Engine.Completed()
 	for _, m := range done[in.observed:] {
 		if c.resOn {
-			c.scheduleRes(resEvent{t: m.EndMS, k: rkComplete, instIdx: int32(in.idx), m: m})
+			c.scheduleRes(resEvent{t: m.EndMS, k: rkComplete, instIdx: int32(in.ID), m: m})
 			continue
 		}
 		orig, ok := c.inFlightReqs[m.ID]
@@ -605,19 +591,9 @@ func (c *Cluster) autoscale(nowMS float64) {
 		if len(fleet) >= c.maxInst {
 			break
 		}
-		id := c.nextID
-		c.nextID++
-		e := c.factory(id)
-		if e == nil {
-			panic("cluster: EngineFactory returned nil engine")
-		}
-		// Align the fresh engine's clock with the fleet so its requests
-		// are not timestamped in its pre-spawn past.
-		e.AdvanceClock(nowMS)
-		c.instances = append(c.instances, &Instance{ID: id, Engine: e, StartedMS: nowMS, idx: len(c.instances)})
-		c.evtPush(len(c.instances) - 1)
+		in := c.spawn(nowMS)
 		c.events = append(c.events, ScaleEvent{
-			TimeMS: nowMS, Kind: "grow", Instance: id, ActiveAfter: len(fleet) + 1,
+			TimeMS: nowMS, Kind: "grow", Instance: in.ID, ActiveAfter: len(fleet) + 1,
 		})
 		applied = true
 	case Shrink:
@@ -625,7 +601,7 @@ func (c *Cluster) autoscale(nowMS float64) {
 			break
 		}
 		victim := ShrinkVictim(fleet)
-		in := c.instanceByID(victim)
+		in := c.instances[victim]
 		in.Retiring = true
 		in.RetiredMS = nowMS
 		c.events = append(c.events, ScaleEvent{
@@ -634,6 +610,24 @@ func (c *Cluster) autoscale(nowMS float64) {
 		applied = true
 	}
 	NotifyDecision(c.scaler, d, applied)
+}
+
+// spawn joins a fresh cold-store instance from the factory at cluster
+// time t (an autoscaler grow or a crash replacement). Its ID is its
+// index in the instance list.
+func (c *Cluster) spawn(t float64) *Instance {
+	id := len(c.instances)
+	e := c.factory(id)
+	if e == nil {
+		panic("cluster: EngineFactory returned nil engine")
+	}
+	// Align the fresh engine's clock with the fleet so its requests are
+	// not timestamped in its pre-spawn past.
+	e.AdvanceClock(t)
+	in := &Instance{ID: id, Engine: e, StartedMS: t}
+	c.instances = append(c.instances, in)
+	c.evtPush(id)
+	return in
 }
 
 // nextInstanceEvent returns the earliest per-instance event time and its

@@ -37,15 +37,13 @@ func (c *Cluster) logFault(t float64, kind string, instance int) {
 	c.flog = append(c.flog, FaultRecord{TimeMS: t, Kind: kind, Instance: instance})
 }
 
-// findInstance returns the instance with the given stable ID, or nil —
-// fault plans may target IDs that never joined the fleet.
-func (c *Cluster) findInstance(id int) *Instance {
-	for _, in := range c.instances {
-		if in.ID == id {
-			return in
-		}
+// faultTarget returns the instance a fault plan names, or nil — fault
+// plans may target IDs that never joined the fleet.
+func (c *Cluster) faultTarget(id int) *Instance {
+	if id < 0 || id >= len(c.instances) {
+		return nil
 	}
-	return nil
+	return c.instances[id]
 }
 
 // applyFault applies one compiled fault event at its scheduled time.
@@ -67,14 +65,14 @@ func (c *Cluster) applyFault(ev faults.Event) {
 // to the dead instance until the matching detect event: submissions pile
 // up unserved and are harvested then.
 func (c *Cluster) applyCrash(ev faults.Event) {
-	in := c.findInstance(ev.Instance)
+	in := c.faultTarget(ev.Instance)
 	if in == nil || in.Crashed {
 		return
 	}
 	in.Crashed = true
 	in.CrashedMS = ev.TimeMS
 	in.Engine.Crash()
-	c.refreshEvent(in.idx)
+	c.refreshEvent(in.ID)
 	c.crashes++
 	c.logFault(ev.TimeMS, "crash", in.ID)
 }
@@ -83,7 +81,7 @@ func (c *Cluster) applyCrash(ev faults.Event) {
 // fleet, stranded requests are requeued or lost per the resilience
 // policy, and a cold replacement may spawn.
 func (c *Cluster) applyDetect(ev faults.Event) {
-	in := c.findInstance(ev.Instance)
+	in := c.faultTarget(ev.Instance)
 	if in == nil || !in.Crashed || in.Detected {
 		return
 	}
@@ -93,7 +91,13 @@ func (c *Cluster) applyDetect(ev faults.Event) {
 		c.strandedRequest(req, in, ev.TimeMS)
 	}
 	if c.res.ReplaceOnCrash && c.factory != nil && c.ActiveSize() < c.maxInst {
-		c.spawnReplacement(ev.TimeMS)
+		// A cold replacement joins through the autoscaler's grow path
+		// but logs its own ScaleEvent kind.
+		fresh := c.spawn(ev.TimeMS)
+		c.events = append(c.events, ScaleEvent{
+			TimeMS: ev.TimeMS, Kind: "replace", Instance: fresh.ID, ActiveAfter: c.ActiveSize(),
+		})
+		c.logFault(ev.TimeMS, "replace", fresh.ID)
 	}
 }
 
@@ -131,25 +135,6 @@ func (c *Cluster) strandedRequest(req workload.Request, in *Instance, t float64)
 	if !anyLive(rec) {
 		c.failRecord(rec)
 	}
-}
-
-// spawnReplacement grows the fleet by one cold-store instance in
-// reaction to a detected crash, reusing the autoscaler's grow path and
-// bookkeeping (ScaleEvent kind "replace").
-func (c *Cluster) spawnReplacement(t float64) {
-	id := c.nextID
-	c.nextID++
-	e := c.factory(id)
-	if e == nil {
-		panic("cluster: EngineFactory returned nil engine")
-	}
-	e.AdvanceClock(t)
-	c.instances = append(c.instances, &Instance{ID: id, Engine: e, StartedMS: t, idx: len(c.instances)})
-	c.evtPush(len(c.instances) - 1)
-	c.events = append(c.events, ScaleEvent{
-		TimeMS: t, Kind: "replace", Instance: id, ActiveAfter: c.ActiveSize(),
-	})
-	c.logFault(t, "replace", id)
 }
 
 // applyLinkFault applies a brownout, restore or stall to its target set:

@@ -252,10 +252,10 @@ func (c *Cluster) dispatchCopy(rec *resRecord, id uint64, t float64, hedge bool)
 	if i < 0 || i >= len(fleet) {
 		panic("cluster: router returned out-of-range instance")
 	}
-	in := c.instanceByID(fleet[i].ID)
+	in := c.instances[fleet[i].ID]
 	in.Submitted++
 	in.Engine.Submit(req)
-	c.refreshEvent(in.idx)
+	c.refreshEvent(in.ID)
 	rec.copies = append(rec.copies, resCopy{id: id, inst: in.ID, live: true, hedge: hedge})
 	if c.res.TimeoutMS > 0 {
 		c.scheduleRes(resEvent{t: t + c.res.TimeoutMS, k: rkTimeout, rec: rec,
@@ -323,9 +323,9 @@ func (c *Cluster) resolveCompletion(ev resEvent) {
 			continue
 		}
 		cp.live = false
-		loser := c.instanceByID(cp.inst)
+		loser := c.instances[cp.inst]
 		if loser.Engine.Cancel(cp.id) {
-			c.refreshEvent(loser.idx)
+			c.refreshEvent(loser.ID)
 		}
 	}
 	c.dropRecord(rec)
@@ -351,10 +351,10 @@ func (c *Cluster) applyTimeout(ev resEvent) {
 		return
 	}
 	cp := &rec.copies[ev.copyIdx]
-	in := c.instanceByID(cp.inst)
+	in := c.instances[cp.inst]
 	if in.Engine.Cancel(cp.id) {
 		cp.live = false
-		c.refreshEvent(in.idx)
+		c.refreshEvent(in.ID)
 	}
 	// else: the copy completed inside its final iteration's overshoot;
 	// leave it live — its completion event may still win the request.

@@ -236,7 +236,7 @@ func (f *FineMoE) selectAndPrefetch(res SearchResult, targetLayer, lNow int, iss
 func (f *FineMoE) StartIteration(views []policy.IterView, now float64) float64 {
 	var syncDelay float64
 	for _, v := range views {
-		f.Account(policy.CompCollect, 0.05)
+		f.RT.Account(policy.CompCollect, 0.05)
 		st := f.newReqState()
 		st.isPrefill = v.IsPrefill
 		// One float32 conversion serves the semantic search and the
@@ -244,7 +244,7 @@ func (f *FineMoE) StartIteration(views []policy.IterView, now float64) float64 {
 		q := f.searcher.Prepare(v.Semantic)
 		if !f.opts.DisableSemantic {
 			semLat := f.searcher.SemanticLatencyMS()
-			f.Account(policy.CompMapMatch, semLat)
+			f.RT.Account(policy.CompMapMatch, semLat)
 			if res, ok := f.searcher.SemanticSearchQ(q); ok {
 				st.sem, st.semOK = res, true
 				issueAt := now + semLat
@@ -337,7 +337,7 @@ func (f *FineMoE) OnGate(layer int, views []policy.LayerView, now float64) float
 		}
 		st.cursor.Observe(v.Probs)
 		trajLat := f.searcher.TrajectoryLatencyMS()
-		f.Account(policy.CompMapMatch, trajLat)
+		f.RT.Account(policy.CompMapMatch, trajLat)
 		issueAt := now + trajLat
 		if f.opts.SynchronousSearch {
 			syncDelay += trajLat
@@ -360,7 +360,7 @@ func (f *FineMoE) EndIteration(reqID uint64, it *moe.Iteration, _ float64) float
 	if !f.opts.DisableStoreUpdate {
 		f.store.AddIteration(reqID, it)
 		// Dedup cost model: one pass over the sampled incumbents.
-		f.Account(policy.CompUpdate, 0.1+0.3*f.searcher.TrajectoryLatencyMS())
+		f.RT.Account(policy.CompUpdate, 0.1+0.3*f.searcher.TrajectoryLatencyMS())
 	}
 	return 0
 }

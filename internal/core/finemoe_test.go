@@ -16,6 +16,8 @@ type fakeRT struct {
 	prio      []float64
 	resident  map[moe.ExpertRef]bool
 	syncCalls int
+	// charged sums what the policy accounted per component.
+	charged [policy.NumComponents]float64
 }
 
 func newFakeRT(cfg moe.Config) *fakeRT {
@@ -46,6 +48,9 @@ func (f *fakeRT) Promote(ref moe.ExpertRef, priority, issueTime float64) bool {
 }
 func (f *fakeRT) Demote(moe.ExpertRef, float64) bool { return false }
 func (f *fakeRT) MemoryPressure() float64            { return 0 }
+func (f *fakeRT) Account(c policy.Component, ms float64) {
+	f.charged[c] += ms
+}
 
 func newTestFineMoE(t *testing.T, opts Options) (*FineMoE, *fakeRT, *moe.Model) {
 	t.Helper()
@@ -221,14 +226,13 @@ func TestFineMoEAblationFlags(t *testing.T) {
 }
 
 func TestFineMoEBreakdownAndOverhead(t *testing.T) {
-	f, _, m := newTestFineMoE(t, Options{})
+	f, rt, m := newTestFineMoE(t, Options{})
 	it := m.Trace(testPrompt(f.cfg, 910, 0, 4, 2))[0]
 	f.StartIteration([]policy.IterView{iterViewOf(it, 910)}, 0)
 	f.EndIteration(910, it, 1)
-	bd := f.Breakdown()
-	for _, k := range []string{policy.CompCollect, policy.CompMapMatch, policy.CompUpdate} {
-		if bd[k] <= 0 {
-			t.Fatalf("breakdown component %q missing: %v", k, bd)
+	for _, c := range []policy.Component{policy.CompCollect, policy.CompMapMatch, policy.CompUpdate} {
+		if rt.charged[c] <= 0 {
+			t.Fatalf("breakdown component %s not charged: %v", c, rt.charged)
 		}
 	}
 	if f.MemoryOverheadBytes() != f.Store().MemoryBytes() {

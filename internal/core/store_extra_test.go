@@ -182,6 +182,58 @@ func TestDedupDisabledFIFO(t *testing.T) {
 	}
 }
 
+// TestDedupReplacesFirstOfEquallyRedundant pins the dedup scan's
+// tie-break: when several stored maps are equally redundant with a
+// newcomer, the first of them the scan visits is replaced. The prune in
+// redundancyAbove is exact only under this strict first-index rule.
+func TestDedupReplacesFirstOfEquallyRedundant(t *testing.T) {
+	cfg := moe.Tiny()
+	m := moe.NewModel(cfg, 63)
+	iters := testIterations(cfg, m, 2)
+	const n = 8
+	for _, sample := range []int{0, 4} {
+		s := NewStore(cfg, n, 2)
+		s.SetDedupSample(sample)
+		// Slot 0 holds another iteration; slots 1..n-1 hold maps of one
+		// iteration, bit-identical but for the request ID, so all of them
+		// tie as the newcomer's most redundant incumbent.
+		s.Add(NewExpertMap(cfg, 0, iters[0]))
+		for id := uint64(1); id < n; id++ {
+			s.Add(NewExpertMap(cfg, id, iters[1]))
+		}
+		newcomer := NewExpertMap(cfg, 99, iters[1])
+		if a, b := s.Redundancy(newcomer, s.maps[0]), s.Redundancy(newcomer, s.maps[1]); a >= b {
+			t.Fatalf("slot 0 is as redundant as the duplicates (%v >= %v)", a, b)
+		}
+		// The scan visits the tied slots in slot order or, when it
+		// samples, in the order its RNG draws them.
+		tied := []int{1, n - 1}
+		if sample > 0 {
+			r := *s.sampleRNG
+			tied = tied[:0]
+			for k := 0; k < sample; k++ {
+				if i := r.Intn(n); i > 0 {
+					tied = append(tied, i)
+				}
+			}
+		}
+		if len(tied) < 2 || tied[0] == tied[len(tied)-1] {
+			t.Fatalf("sample %d visits tied slots %v: first and last coincide, so no tie to break", sample, tied)
+		}
+		s.Add(newcomer)
+		for i, em := range s.maps {
+			want := uint64(i)
+			if i == tied[0] {
+				want = 99
+			}
+			if em.ReqID != want {
+				t.Fatalf("sample %d: slot %d holds request %d, want %d (tied slots visited in order %v)",
+					sample, i, em.ReqID, want, tied)
+			}
+		}
+	}
+}
+
 func TestStoreConcurrentAddAndSearch(t *testing.T) {
 	cfg := moe.Tiny()
 	m := moe.NewModel(cfg, 63)

@@ -173,16 +173,19 @@ func runFig16b(c *Context) (*Output, error) {
 // (context collection, map match, prefetch, map update) components.
 func runFig17(c *Context) (*Output, error) {
 	ds := workload.LMSYSChat1M()
-	comps := []string{
+	comps := []policy.Component{
 		policy.CompCollect, policy.CompInfer, policy.CompMapMatch,
 		policy.CompLoad, policy.CompUpdate, policy.CompPredict,
 	}
-	async := map[string]bool{
+	async := map[policy.Component]bool{
 		policy.CompCollect:  true,
 		policy.CompMapMatch: true,
 		policy.CompUpdate:   true,
 	}
-	headers := append([]string{"model", "total_iter_ms"}, comps...)
+	headers := []string{"model", "total_iter_ms"}
+	for _, comp := range comps {
+		headers = append(headers, comp.String())
+	}
 	t := metrics.NewTable(headers...)
 	for _, cfg := range paperModels() {
 		sys := paperSystems(c, cfg, ds, true)[0] // FineMoE
@@ -191,7 +194,7 @@ func runFig17(c *Context) (*Output, error) {
 		row := []any{cfg.Name}
 		for _, comp := range comps {
 			if !async[comp] {
-				iterMS += res.Breakdown[comp]
+				iterMS += res.Breakdown[comp.String()]
 			}
 		}
 		row = append(row, iterMS)
@@ -200,7 +203,7 @@ func runFig17(c *Context) (*Output, error) {
 			if async[comp] {
 				tag = " (async)"
 			}
-			row = append(row, fmt.Sprintf("%.2f%s", res.Breakdown[comp], tag))
+			row = append(row, fmt.Sprintf("%.2f%s", res.Breakdown[comp.String()], tag))
 		}
 		t.Row(row...)
 	}

@@ -86,6 +86,12 @@ type Runtime interface {
 	// toward 1 when the working set outgrows the DRAM budget and churns
 	// through the staging link.
 	MemoryPressure() float64
+	// Account charges ms to component c of the engine's latency
+	// breakdown (Fig. 17). Policies charge their own work here,
+	// including asynchronous work that never delays inference; the
+	// engine charges inference, on-demand stalls and hook delays
+	// itself, into the same ledger.
+	Account(c Component, ms float64)
 }
 
 // Policy is an expert offloading strategy. Hook return values are
@@ -112,10 +118,6 @@ type Policy interface {
 	EndRequest(reqID uint64, now float64)
 	// Scorer returns the cache-eviction scorer the policy pairs with.
 	Scorer() cache.Scorer
-	// Breakdown returns cumulative per-component latencies (ms) for the
-	// paper's Fig. 17 accounting, including asynchronous work that does
-	// not contribute to end-to-end time.
-	Breakdown() map[string]float64
 	// MemoryOverheadBytes reports CPU-side metadata memory (the Expert
 	// Map Store for FineMoE, the EAM collection for MoE-Infinity).
 	MemoryOverheadBytes() int64
@@ -125,13 +127,6 @@ type Policy interface {
 // need. Embed it by value.
 type Base struct {
 	RT Runtime
-	// comp accumulates the standard components densely; compTouched
-	// records which slots were ever accounted so Breakdown reproduces
-	// the key set a map accumulation would have had. breakdown catches
-	// non-standard component names only.
-	comp        [NumComponents]float64
-	compTouched [NumComponents]bool
-	breakdown   map[string]float64
 }
 
 // Attach stores the runtime.
@@ -158,80 +153,36 @@ func (b *Base) Scorer() cache.Scorer { return cache.LRU{} }
 // MemoryOverheadBytes defaults to zero.
 func (b *Base) MemoryOverheadBytes() int64 { return 0 }
 
-// Account accumulates a named latency component. The standard components
-// accumulate into a dense array — Account runs several times per
-// iteration, so a string-keyed map update here (hash + probe per call)
-// is measurable at multi-million-request horizons. Non-standard names
-// fall back to a lazily built map.
-func (b *Base) Account(component string, ms float64) {
-	if i := ComponentIndex(component); i >= 0 {
-		b.comp[i] += ms
-		b.compTouched[i] = true
-		return
-	}
-	if b.breakdown == nil {
-		b.breakdown = map[string]float64{}
-	}
-	b.breakdown[component] += ms
-}
+// Component is one named latency component of the paper's Fig. 17
+// breakdown. Components are dense, so a ledger is an array indexed by
+// Component.
+type Component uint8
 
-// Breakdown returns accumulated component latencies. Only components that
-// were actually accounted appear as keys (a component accounted with 0 ms
-// still appears), matching the map-accumulation behavior exactly.
-func (b *Base) Breakdown() map[string]float64 {
-	out := make(map[string]float64, len(b.breakdown)+len(b.comp))
-	for i, v := range b.comp {
-		if b.compTouched[i] {
-			out[Components[i]] = v
-		}
-	}
-	for k, v := range b.breakdown {
-		out[k] = v
-	}
-	return out
-}
-
-// Standard breakdown component names (Fig. 17).
+// The Fig. 17 components.
 const (
-	CompCollect  = "collect_context"
-	CompMapMatch = "map_match"
-	CompPrefetch = "expert_prefetch"
-	CompLoad     = "expert_load"
-	CompUpdate   = "map_update"
-	CompInfer    = "inference"
-	CompPredict  = "predict_sync"
+	CompCollect Component = iota
+	CompMapMatch
+	CompPrefetch
+	CompLoad
+	CompUpdate
+	CompInfer
+	CompPredict
 )
 
-// Components lists the standard component names in ComponentIndex order.
-var Components = [...]string{
-	CompCollect, CompMapMatch, CompPrefetch, CompLoad,
-	CompUpdate, CompInfer, CompPredict,
+// componentNames holds each component's report name, the key of its
+// entry in serve.Result.Breakdown.
+var componentNames = [...]string{
+	CompCollect:  "collect_context",
+	CompMapMatch: "map_match",
+	CompPrefetch: "expert_prefetch",
+	CompLoad:     "expert_load",
+	CompUpdate:   "map_update",
+	CompInfer:    "inference",
+	CompPredict:  "predict_sync",
 }
 
-// NumComponents is the size of the dense accounting array.
-const NumComponents = len(Components)
+// NumComponents is the size of a dense per-component ledger.
+const NumComponents = len(componentNames)
 
-// ComponentIndex maps a standard component name to its dense slot, or -1.
-// The switch compiles to length-bucketed comparisons of interned
-// constants — no hashing.
-//
-//finemoe:hotpath
-func ComponentIndex(component string) int {
-	switch component {
-	case CompCollect:
-		return 0
-	case CompMapMatch:
-		return 1
-	case CompPrefetch:
-		return 2
-	case CompLoad:
-		return 3
-	case CompUpdate:
-		return 4
-	case CompInfer:
-		return 5
-	case CompPredict:
-		return 6
-	}
-	return -1
-}
+// String returns the component's report name.
+func (c Component) String() string { return componentNames[c] }

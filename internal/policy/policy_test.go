@@ -29,25 +29,6 @@ func TestBaseDefaults(t *testing.T) {
 	}
 }
 
-func TestBaseBreakdownAccumulates(t *testing.T) {
-	var b Base
-	if len(b.Breakdown()) != 0 {
-		t.Fatal("fresh breakdown not empty")
-	}
-	b.Account(CompMapMatch, 1.5)
-	b.Account(CompMapMatch, 0.5)
-	b.Account(CompUpdate, 2)
-	bd := b.Breakdown()
-	if bd[CompMapMatch] != 2 || bd[CompUpdate] != 2 {
-		t.Fatalf("breakdown %v", bd)
-	}
-	// Returned map is a copy.
-	bd[CompMapMatch] = 99
-	if b.Breakdown()[CompMapMatch] != 2 {
-		t.Fatal("Breakdown leaked internal state")
-	}
-}
-
 func TestBaseAttach(t *testing.T) {
 	var b Base
 	if b.RT != nil {
@@ -58,12 +39,15 @@ func TestBaseAttach(t *testing.T) {
 }
 
 func TestComponentNamesDistinct(t *testing.T) {
-	names := []string{CompCollect, CompMapMatch, CompPrefetch, CompLoad, CompUpdate, CompInfer, CompPredict}
 	seen := map[string]bool{}
-	for _, n := range names {
+	for c := range Component(NumComponents) {
+		n := c.String()
 		if n == "" || seen[n] {
-			t.Fatalf("component names not distinct: %v", names)
+			t.Fatalf("component %d name %q empty or repeated", c, n)
 		}
 		seen[n] = true
+	}
+	if CompPredict.String() != "predict_sync" {
+		t.Fatalf("CompPredict reports as %q", CompPredict)
 	}
 }

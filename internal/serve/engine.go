@@ -150,10 +150,10 @@ type Engine struct {
 	// regardless of whether the working set actually fits.
 	memSpill float64
 
-	// comp accumulates per-component latency densely (the engine only
-	// accounts standard policy components; see policy.ComponentIndex).
-	// compTouched tracks which slots were accounted so Finalize emits
-	// exactly the keys a map accumulation would have.
+	// comp is the run's latency ledger: the engine's own charges and the
+	// policy's (through Account) accumulate here per component, in event
+	// order. compTouched tracks which components were ever charged, so
+	// Finalize reports exactly those keys, even at 0 ms.
 	comp        [policy.NumComponents]float64
 	compTouched [policy.NumComponents]bool
 	iterations  int
@@ -365,11 +365,13 @@ func (e *Engine) drain(now float64) {
 	}
 }
 
+// Account implements policy.Runtime: it charges ms to component c of
+// the run's one latency ledger.
+//
 //finemoe:hotpath
-func (e *Engine) account(component string, ms float64) {
-	i := policy.ComponentIndex(component)
-	e.comp[i] += ms
-	e.compTouched[i] = true
+func (e *Engine) Account(c policy.Component, ms float64) {
+	e.comp[c] += ms
+	e.compTouched[c] = true
 }
 
 // --- iteration execution ----------------------------------------------------
@@ -429,7 +431,7 @@ func (e *Engine) runIteration(batch []*runReq, now float64) float64 {
 		// Dense (attention + norms + shared experts) compute.
 		attn := e.attnTime(totalTokens)
 		now += attn
-		e.account(policy.CompInfer, attn)
+		e.Account(policy.CompInfer, attn)
 		e.drain(now)
 
 		// Gate outputs observed; policy reacts.
@@ -479,7 +481,7 @@ func (e *Engine) runIteration(batch []*runReq, now float64) float64 {
 			avail := e.fetchOnDemand(ref, now)
 			stall := avail - now
 			now = avail
-			e.account(policy.CompLoad, stall)
+			e.Account(policy.CompLoad, stall)
 			e.drain(now)
 			e.caches.Lookup(ref, now)
 			e.caches.Pin(ref)
@@ -488,7 +490,7 @@ func (e *Engine) runIteration(batch []*runReq, now float64) float64 {
 		// Expert FFN compute.
 		ec := e.expertTime(active, totalTokens)
 		now += ec
-		e.account(policy.CompInfer, ec)
+		e.Account(policy.CompInfer, ec)
 		e.caches.UnpinAll()
 	}
 
@@ -518,8 +520,8 @@ func (e *Engine) applyHookDelay(now, delay, markSyncLoad float64) float64 {
 	if predictPart < 0 {
 		predictPart = 0
 	}
-	e.account(policy.CompLoad, loadPart)
-	e.account(policy.CompPredict, predictPart)
+	e.Account(policy.CompLoad, loadPart)
+	e.Account(policy.CompPredict, predictPart)
 	return now + delay
 }
 
@@ -640,13 +642,10 @@ func (e *Engine) finalize(reqs []RequestMetrics, wallClock float64) *Result {
 	} else {
 		res.HitRate = 1
 	}
-	for i, v := range e.comp {
-		if e.compTouched[i] {
-			res.Breakdown[policy.Components[i]] = v
+	for c, v := range e.comp {
+		if e.compTouched[c] {
+			res.Breakdown[policy.Component(c).String()] = v
 		}
-	}
-	for k, v := range e.pol.Breakdown() {
-		res.Breakdown[k] += v
 	}
 	if e.iterations > 0 {
 		for k := range res.Breakdown {

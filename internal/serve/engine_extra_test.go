@@ -91,9 +91,9 @@ func activationsOf(cfg moe.Config, iters []*moe.Iteration) int {
 	return n
 }
 
-// TestBreakdownComponentsDisjoint: the engine's per-iteration breakdown must
-// contain inference plus load time, and FineMoE must contribute its async
-// components.
+// TestBreakdownComponentsFineMoE: the engine's per-iteration breakdown must
+// contain inference plus load time, and the async components FineMoE
+// charges through Runtime.Account.
 func TestBreakdownComponentsFineMoE(t *testing.T) {
 	cfg := moe.Tiny()
 	m := moe.NewModel(cfg, 31)
@@ -104,13 +104,13 @@ func TestBreakdownComponentsFineMoE(t *testing.T) {
 	e := New(Options{Model: m, GPU: testGPU(), NumGPUs: 2,
 		CacheBytes: cfg.ExpertBytes() * int64(cfg.NumExperts()) / 2, Policy: pol})
 	res := e.RunOffline(reqs, buildTraces(m, reqs))
-	for _, comp := range []string{policy.CompInfer, policy.CompCollect, policy.CompMapMatch, policy.CompUpdate} {
-		if res.Breakdown[comp] <= 0 {
+	for _, comp := range []policy.Component{policy.CompInfer, policy.CompCollect, policy.CompMapMatch, policy.CompUpdate} {
+		if res.Breakdown[comp.String()] <= 0 {
 			t.Fatalf("component %q missing: %v", comp, res.Breakdown)
 		}
 	}
 	// FineMoE is fully asynchronous: no synchronous prediction time.
-	if res.Breakdown[policy.CompPredict] != 0 {
+	if res.Breakdown[policy.CompPredict.String()] != 0 {
 		t.Fatalf("FineMoE reported sync prediction time: %v", res.Breakdown)
 	}
 }

@@ -132,7 +132,7 @@ func TestMetricsShape(t *testing.T) {
 	if res.Iterations != want {
 		t.Fatalf("iterations %d, want %d", res.Iterations, want)
 	}
-	if res.Breakdown[policy.CompInfer] <= 0 {
+	if res.Breakdown[policy.CompInfer.String()] <= 0 {
 		t.Fatalf("no inference time in breakdown: %v", res.Breakdown)
 	}
 	if res.GPUMemoryBytes <= 0 {
