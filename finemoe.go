@@ -24,10 +24,10 @@
 //     residency state machine over GPU HBM -> bounded CPU DRAM -> NVMe,
 //     with staging transfers routed through intermediate tiers on distinct
 //     contended links, eviction-as-demotion under pluggable per-tier
-//     scorers, and memory-pressure signals feeding the cluster's routing
-//     and autoscaling (the degenerate two-tier configuration reproduces the
-//     pre-tiering engine byte-identically — see the memfig experiment for
-//     the latency-memory curve);
+//     scorers, and a memory-pressure signal feeding the cluster's routing
+//     (the degenerate two-tier configuration reproduces the pre-tiering
+//     engine byte-identically — see the memfig experiment for the
+//     latency-memory curve);
 //   - a cluster serving layer composing N engines behind an admission →
 //     routing → instance pipeline: pluggable admission (always-admit,
 //     token-bucket, reject-all) and routing (round-robin, least-loaded,

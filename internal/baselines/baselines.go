@@ -397,9 +397,6 @@ func (*MoEInfinity) Scorer() cache.Scorer { return cache.LFU{} }
 // MemoryOverheadBytes reports the matrix collection footprint.
 func (m *MoEInfinity) MemoryOverheadBytes() int64 { return m.coll.MemoryBytes() }
 
-// Collection returns the historical matrix store.
-func (m *MoEInfinity) Collection() *EAMCollection { return m.coll }
-
 // Attach implements policy.Policy.
 func (m *MoEInfinity) Attach(rt policy.Runtime) {
 	m.Base.Attach(rt)

@@ -58,7 +58,6 @@ func (f *fakeRT) Promote(ref moe.ExpertRef, priority, issueTime float64) bool {
 	return f.Prefetch(ref, priority, issueTime)
 }
 func (f *fakeRT) Demote(moe.ExpertRef, float64) bool { return false }
-func (f *fakeRT) MemoryPressure() float64            { return 0 }
 func (f *fakeRT) Account(policy.Component, float64)  {}
 
 func TestNoOffloadIsInert(t *testing.T) {

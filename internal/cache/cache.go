@@ -292,8 +292,8 @@ func (c *Cache) newMeta() *Meta {
 // pickVictim returns the highest-scoring resident, skipping pinned ones
 // when skipPinned is set. The scan runs in ascending (layer, expert)
 // order and replaces only on a strictly greater score, so ties go to the
-// lowest ref by less(): the victim order TestDeterministicTieBreak and
-// the goldens pin.
+// lowest (layer, expert) ref: the victim order TestDeterministicTieBreak
+// and the goldens pin.
 func (c *Cache) pickVictim(now float64, skipPinned bool) (moe.ExpertRef, bool) {
 	var best moe.ExpertRef
 	bestScore := 0.0
@@ -311,14 +311,6 @@ func (c *Cache) pickVictim(now float64, skipPinned bool) (moe.ExpertRef, bool) {
 		}
 	}
 	return best, found
-}
-
-// less orders refs by (layer, expert); Residents sorts with it.
-func less(a, b moe.ExpertRef) bool {
-	if a.Layer != b.Layer {
-		return a.Layer < b.Layer
-	}
-	return a.Expert < b.Expert
 }
 
 // Pinned reports whether a resident expert is pinned by the executing

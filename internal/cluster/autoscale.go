@@ -91,16 +91,6 @@ type QueuePressureOptions struct {
 	// CooldownMS is the minimum gap between two scale actions
 	// (default: SustainMS).
 	CooldownMS float64
-	// MemoryHighWatermark, when positive, adds a memory-pressure grow
-	// trigger: the fleet also grows when the mean host-DRAM thrash
-	// level across instances (the decayed fraction of expert fetches
-	// spilling below DRAM — InstanceState.MemPressure) stays above this
-	// fraction for SustainMS, and shrink is suppressed while it does —
-	// a fleet can scale out of memory thrash even when its queues look
-	// healthy, and scale back in once the spread working set fits its
-	// DRAM again. Zero disables the input, leaving the policy's
-	// decisions byte-identical to the queue-only behavior.
-	MemoryHighWatermark float64
 }
 
 func (o QueuePressureOptions) withDefaults() QueuePressureOptions {
@@ -154,16 +144,12 @@ func (q *queuePressure) Decide(nowMS float64, fleet []InstanceState) Decision {
 		return Hold
 	}
 	total := 0
-	memSum := 0.0
 	for _, st := range fleet {
 		total += st.load()
-		memSum += st.MemPressure
 	}
 	mean := float64(total) / float64(len(fleet))
-	memHigh := q.opts.MemoryHighWatermark > 0 &&
-		memSum/float64(len(fleet)) > q.opts.MemoryHighWatermark
 	switch {
-	case mean > q.opts.HighWatermark || memHigh:
+	case mean > q.opts.HighWatermark:
 		q.belowSince = math.NaN()
 		if math.IsNaN(q.aboveSince) {
 			q.aboveSince = nowMS

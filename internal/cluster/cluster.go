@@ -80,8 +80,8 @@ type InstanceState struct {
 	// MemPressure is the instance's host-DRAM thrash level: the decayed
 	// fraction of recent expert fetches staged from below DRAM (0 under
 	// the degenerate unbounded-DRAM configuration or when the working
-	// set fits). Routers use it as a placement tiebreak and the
-	// queue-pressure autoscaler as an optional grow trigger.
+	// set fits). The memory-aware router uses it as a placement
+	// tiebreak.
 	MemPressure float64
 }
 
@@ -280,15 +280,6 @@ func New(opts Options) *Cluster {
 	if opts.Resilience.Enabled {
 		c.resOn = true
 		c.res = opts.Resilience
-		if c.res.BackoffBaseMS <= 0 {
-			c.res.BackoffBaseMS = 50
-		}
-		if c.res.BackoffMaxMS <= 0 {
-			c.res.BackoffMaxMS = 2000
-		}
-		if c.res.JitterFrac == 0 {
-			c.res.JitterFrac = 0.2
-		}
 		c.records = map[uint64]*resRecord{}
 		c.budgets = map[string]*tenantBudget{}
 		c.stale = map[staleKey]bool{}
@@ -431,16 +422,6 @@ func (c *Cluster) Rejected() int { return c.rejected }
 
 // Admitted counts requests accepted so far.
 func (c *Cluster) Admitted() int { return c.admitted }
-
-// States snapshots every instance's load view, in instance order,
-// including retiring instances.
-func (c *Cluster) States() []InstanceState {
-	out := make([]InstanceState, len(c.instances))
-	for i, in := range c.instances {
-		out[i] = in.State()
-	}
-	return out
-}
 
 // activeStates snapshots the routable fleet — the view admission, routing
 // and autoscaling observe. Entries are ordered by ascending instance ID

@@ -28,7 +28,6 @@ func gauntletPlan() *faults.Plan {
 func fullResilience() ResilienceOptions {
 	return ResilienceOptions{
 		Enabled: true, TimeoutMS: 400, MaxRetries: 2,
-		BackoffBaseMS: 20, BackoffMaxMS: 200, JitterFrac: 0.2,
 		HedgeAfterMS: 250, RetryBudgetFrac: 0.5,
 		RequeueOnCrash: true, ReplaceOnCrash: true, Seed: 77,
 	}
@@ -178,22 +177,27 @@ func TestFaultRunDeterministic(t *testing.T) {
 
 // TestBackoffDeterminism: the retry schedule is a pure function of
 // (seed, request ID, attempt) — monotone in attempts up to the cap, and
-// jitter-bounded.
+// jitter-bounded. Attempts 1–8 reach the cap: at a 50 ms base, 2000 ms
+// binds from attempt 7.
 func TestBackoffDeterminism(t *testing.T) {
 	c, _ := faultCluster(fullResilience())
-	for attempt := 1; attempt <= 6; attempt++ {
+	capped := false
+	for attempt := 1; attempt <= 8; attempt++ {
 		a := c.backoffMS(42, attempt)
 		if b := c.backoffMS(42, attempt); a != b {
 			t.Fatalf("attempt %d: backoff not deterministic (%v vs %v)", attempt, a, b)
 		}
-		base := c.res.BackoffBaseMS * math.Pow(2, float64(attempt-1))
-		if base > c.res.BackoffMaxMS {
-			base = c.res.BackoffMaxMS
+		base := backoffBaseMS * math.Pow(2, float64(attempt-1))
+		if base > backoffMaxMS {
+			base, capped = backoffMaxMS, true
 		}
-		if a < base || a > base*(1+c.res.JitterFrac) {
+		if a < base || a > base*(1+jitterFrac) {
 			t.Fatalf("attempt %d: backoff %v outside [%v, %v]",
-				attempt, a, base, base*(1+c.res.JitterFrac))
+				attempt, a, base, base*(1+jitterFrac))
 		}
+	}
+	if !capped {
+		t.Fatal("attempts never reached the backoff cap")
 	}
 	if c.backoffMS(42, 1) == c.backoffMS(43, 1) {
 		t.Fatal("distinct requests drew identical jitter")

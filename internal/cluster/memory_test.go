@@ -50,43 +50,3 @@ func TestMemoryAwareRouterTiebreak(t *testing.T) {
 		}
 	}
 }
-
-// TestQueuePressureMemoryTrigger verifies the autoscaler's memory input:
-// sustained DRAM pressure above the watermark grows the fleet even with
-// empty queues, suppresses shrink while high, and a zero watermark
-// leaves the queue-only behavior untouched.
-func TestQueuePressureMemoryTrigger(t *testing.T) {
-	opts := QueuePressureOptions{
-		HighWatermark: 4, LowWatermark: 0.5,
-		SustainMS: 100, CooldownMS: 100,
-		MemoryHighWatermark: 0.9,
-	}
-	q := NewQueuePressure(opts)
-	// Queues empty (mean load 0 < LowWatermark) but DRAM thrashing: the
-	// memory trigger must override the shrink path and grow.
-	hot := []InstanceState{{ID: 0, MemPressure: 0.97}, {ID: 1, MemPressure: 0.95}}
-	if d := q.Decide(0, hot); d != Hold {
-		t.Fatalf("decision %v before sustain, want hold", d)
-	}
-	if d := q.Decide(150, hot); d != Grow {
-		t.Fatalf("decision %v after sustained memory pressure, want grow", d)
-	}
-
-	// Same timeline without the memory watermark: empty queues shrink.
-	opts.MemoryHighWatermark = 0
-	q2 := NewQueuePressure(opts)
-	q2.Decide(0, hot)
-	if d := q2.Decide(150, hot); d != Shrink {
-		t.Fatalf("decision %v with memory input disabled, want shrink", d)
-	}
-
-	// Pressure dropping back under the watermark releases the trigger.
-	q3 := NewQueuePressure(QueuePressureOptions{
-		SustainMS: 100, CooldownMS: 100, MemoryHighWatermark: 0.9,
-	})
-	cool := []InstanceState{{ID: 0, MemPressure: 0.3}, {ID: 1, MemPressure: 0.2}}
-	q3.Decide(0, hot)
-	if d := q3.Decide(150, cool); d == Grow {
-		t.Fatal("memory trigger fired after pressure subsided")
-	}
-}

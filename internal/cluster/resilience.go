@@ -40,13 +40,6 @@ type ResilienceOptions struct {
 	// MaxRetries bounds re-dispatch attempts per request after timeouts
 	// (0 = fail on first timeout).
 	MaxRetries int
-	// BackoffBaseMS and BackoffMaxMS shape the exponential retry delay:
-	// base doubles per attempt, capped at max (defaults 50 and 2000).
-	BackoffBaseMS, BackoffMaxMS float64
-	// JitterFrac adds a deterministic jitter of up to this fraction of
-	// the backoff, drawn from (Seed, request ID, attempt). Default 0.2;
-	// negative disables jitter.
-	JitterFrac float64
 	// HedgeAfterMS dispatches a second copy of a request to another
 	// instance if the first has not completed this long after dispatch
 	// (0 = no hedging). The first copy to finish wins; losers cancel.
@@ -65,6 +58,15 @@ type ResilienceOptions struct {
 	// Seed keys the backoff jitter stream.
 	Seed uint64
 }
+
+// The retry backoff before attempt a (1-based) is
+// min(backoffBaseMS·2^(a−1), backoffMaxMS), plus a deterministic jitter
+// of up to jitterFrac of that.
+const (
+	backoffBaseMS = 50
+	backoffMaxMS  = 2000
+	jitterFrac    = 0.2
+)
 
 // resKind enumerates resilience event kinds.
 type resKind uint8
@@ -163,18 +165,15 @@ func (c *Cluster) popResEvent() resEvent {
 
 // backoffMS computes the deterministic retry delay before attempt n
 // (1-based): base·2^(n−1) capped at max, plus a jitter of up to
-// JitterFrac of that, drawn from (Seed, request ID, attempt) — a pure
+// jitterFrac of that, drawn from (Seed, request ID, attempt) — a pure
 // function of the policy, independent of event interleaving.
 func (c *Cluster) backoffMS(reqID uint64, attempt int) float64 {
-	d := c.res.BackoffBaseMS * math.Pow(2, float64(attempt-1))
-	if d > c.res.BackoffMaxMS {
-		d = c.res.BackoffMaxMS
+	d := backoffBaseMS * math.Pow(2, float64(attempt-1))
+	if d > backoffMaxMS {
+		d = backoffMaxMS
 	}
-	if c.res.JitterFrac > 0 {
-		u := rng.New(rng.Mix(c.res.Seed, reqID, uint64(attempt))).Float64()
-		d += d * c.res.JitterFrac * u
-	}
-	return d
+	u := rng.New(rng.Mix(c.res.Seed, reqID, uint64(attempt))).Float64()
+	return d + d*jitterFrac*u
 }
 
 // budgetFor returns the tenant's budget entry, creating it on first use.

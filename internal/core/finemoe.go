@@ -8,42 +8,38 @@ import (
 )
 
 // Options configures the FineMoE policy. The zero value plus a store is a
-// valid full-featured configuration.
+// valid full-featured configuration: semantic and trajectory search with
+// the δ-driven selection, and a store that every completed iteration
+// updates. The Fig. 14a ablations of semantic guidance and δ are measured
+// through PredictIteration's own switches, not through the policy.
 type Options struct {
 	// PrefetchDistance d (§4.2); 0 uses the model's profiled optimum.
 	PrefetchDistance int
-	// SemanticPrefilter bounds trajectory-search candidates (0 = default
-	// 128; negative = full store).
-	SemanticPrefilter int
 	// SearchNProbe opts into approximate semantic search: the clustered
 	// index probes only the n most query-similar centroid buckets per
 	// search (0 = probe all, exact mode — byte-identical to the seed's
 	// brute force). The searchfig experiment quantifies the hit-rate loss
 	// vs. search speedup across nprobe.
 	SearchNProbe int
-	// DisableSemantic turns off semantic-based search, leaving the first
-	// d layers unguided — the Map(T) ablation of Fig. 14a.
-	DisableSemantic bool
-	// DisableDynamicThreshold selects a static top-K instead of the
-	// δ-driven set — the Map(T+S) ablation of Fig. 14a.
-	DisableDynamicThreshold bool
-	// DisableStoreUpdate freezes the store during serving (offline
-	// evaluations measure a pre-built store; online serving updates it).
-	DisableStoreUpdate bool
 	// SynchronousSearch blocks inference on map search instead of
 	// overlapping it — the sync-vs-async design ablation. FineMoE proper
 	// keeps this false (§4.3).
 	SynchronousSearch bool
-	// PrefillMassFloor is the minimum cumulative probability the prefill
-	// selection must cover. Prefill activates the per-layer union of all
-	// prompt tokens' experts, and the stored prefill maps' token-mean
-	// distributions spread across that union, so the selection threshold
-	// is floored instead of trusting δ alone. 0 uses the default 0.96.
-	PrefillMassFloor float64
 	// EvictionScorer overrides FineMoE's 1/(p·freq) cache scorer (the
 	// Fig. 14b ablation swaps in LRU and LFU).
 	EvictionScorer cache.Scorer
 }
+
+// semanticPrefilter bounds the trajectory search's candidates to the
+// maps most similar to the request's semantic embedding.
+const semanticPrefilter = 128
+
+// prefillMassFloor is the minimum cumulative probability the prefill
+// selection must cover. Prefill activates the per-layer union of all
+// prompt tokens' experts, and the stored prefill maps' token-mean
+// distributions spread across that union, so the selection threshold is
+// floored instead of trusting δ alone.
+const prefillMassFloor = 0.96
 
 // FineMoE is the paper's policy: asynchronous expert-map search guides
 // prefetching (semantic for layers [1,d], trajectory for [d+1,L]), the
@@ -115,14 +111,7 @@ func NewFineMoE(store *Store, opts Options) *FineMoE {
 	if d <= 0 {
 		d = 1
 	}
-	prefilter := opts.SemanticPrefilter
-	if prefilter == 0 {
-		prefilter = 128
-	}
-	if prefilter < 0 {
-		prefilter = 0
-	}
-	searcher := NewSearcher(store, prefilter)
+	searcher := NewSearcher(store, semanticPrefilter)
 	searcher.SetNProbe(opts.SearchNProbe)
 	return &FineMoE{
 		store:    store,
@@ -186,23 +175,11 @@ func (f *FineMoE) MemoryOverheadBytes() int64 { return f.store.MemoryBytes() }
 func (f *FineMoE) selectAndPrefetch(res SearchResult, targetLayer, lNow int, issueAt float64, prefill bool) {
 	probs := f.probsBuf
 	res.Map.LayerProbsInto(targetLayer, f.cfg.RoutedExperts, probs)
-	var sel []int
-	switch {
-	case prefill:
-		floor := f.opts.PrefillMassFloor
-		if floor <= 0 {
-			floor = 0.96
-		}
-		thr := Threshold(res.Score)
-		if thr < floor {
-			thr = floor
-		}
-		sel = tensor.CumulativeTopSetInto(probs, thr, f.cfg.TopK, f.orderBuf[:cap(f.orderBuf)], f.selBuf[:cap(f.selBuf)])
-	case f.opts.DisableDynamicThreshold:
-		sel = tensor.TopKInto(probs, f.cfg.TopK, f.orderBuf[:cap(f.orderBuf)])
-	default:
-		sel = tensor.CumulativeTopSetInto(probs, Threshold(res.Score), f.cfg.TopK, f.orderBuf[:cap(f.orderBuf)], f.selBuf[:cap(f.selBuf)])
+	thr := Threshold(res.Score)
+	if prefill && thr < prefillMassFloor {
+		thr = prefillMassFloor
 	}
+	sel := tensor.CumulativeTopSetInto(probs, thr, f.cfg.TopK, f.orderBuf[:cap(f.orderBuf)], f.selBuf[:cap(f.selBuf)])
 	for _, j := range sel {
 		f.predProb[f.cfg.ExpertID(targetLayer, j)] = probs[j]
 	}
@@ -242,32 +219,29 @@ func (f *FineMoE) StartIteration(views []policy.IterView, now float64) float64 {
 		// One float32 conversion serves the semantic search and the
 		// trajectory cursor (the seed converted the embedding twice).
 		q := f.searcher.Prepare(v.Semantic)
-		if !f.opts.DisableSemantic {
-			semLat := f.searcher.SemanticLatencyMS()
-			f.RT.Account(policy.CompMapMatch, semLat)
-			if res, ok := f.searcher.SemanticSearchQ(q); ok {
-				st.sem, st.semOK = res, true
-				issueAt := now + semLat
-				if f.opts.SynchronousSearch {
-					syncDelay += semLat
-					issueAt = now + syncDelay
-				}
-				// Semantic guidance covers layers [0,d), where no
-				// trajectory has been observed yet (§4.2.1). The
-				// prefill iteration extends it across every layer:
-				// prefill moves whole token-union working sets, so
-				// transfers must be issued early to overlap the
-				// compute-bound prompt pass. Decode leaves layers
-				// [d,L) to the trajectory search — duplicating the
-				// guidance there would churn the expert cache with
-				// near-miss predictions.
-				depth := f.d
-				if v.IsPrefill {
-					depth = f.cfg.Layers
-				}
-				for l := 0; l < depth && l < f.cfg.Layers; l++ {
-					f.selectAndPrefetch(res, l, 0, issueAt, v.IsPrefill)
-				}
+		semLat := f.searcher.SemanticLatencyMS()
+		f.RT.Account(policy.CompMapMatch, semLat)
+		if res, ok := f.searcher.SemanticSearchQ(q); ok {
+			st.sem, st.semOK = res, true
+			issueAt := now + semLat
+			if f.opts.SynchronousSearch {
+				syncDelay += semLat
+				issueAt = now + syncDelay
+			}
+			// Semantic guidance covers layers [0,d), where no trajectory
+			// has been observed yet (§4.2.1). The prefill iteration
+			// extends it across every layer: prefill moves whole
+			// token-union working sets, so transfers must be issued early
+			// to overlap the compute-bound prompt pass. Decode leaves
+			// layers [d,L) to the trajectory search — duplicating the
+			// guidance there would churn the expert cache with near-miss
+			// predictions.
+			depth := f.d
+			if v.IsPrefill {
+				depth = f.cfg.Layers
+			}
+			for l := 0; l < depth && l < f.cfg.Layers; l++ {
+				f.selectAndPrefetch(res, l, 0, issueAt, v.IsPrefill)
 			}
 		}
 		st.cursor = f.searcher.NewCursorQ(q)
@@ -357,11 +331,9 @@ func (f *FineMoE) OnGate(layer int, views []policy.LayerView, now float64) float
 // EndIteration publishes the completed iteration's expert map to the store
 // (Step 5). The update is asynchronous and does not block inference.
 func (f *FineMoE) EndIteration(reqID uint64, it *moe.Iteration, _ float64) float64 {
-	if !f.opts.DisableStoreUpdate {
-		f.store.AddIteration(reqID, it)
-		// Dedup cost model: one pass over the sampled incumbents.
-		f.RT.Account(policy.CompUpdate, 0.1+0.3*f.searcher.TrajectoryLatencyMS())
-	}
+	f.store.AddIteration(reqID, it)
+	// Dedup cost model: one pass over the sampled incumbents.
+	f.RT.Account(policy.CompUpdate, 0.1+0.3*f.searcher.TrajectoryLatencyMS())
 	return 0
 }
 

@@ -133,24 +133,27 @@ func (p *Plan) Empty() bool {
 	return p == nil || len(p.Crashes)+len(p.Brownouts)+len(p.Stalls) == 0
 }
 
-// Validate checks every spec's parameters.
+// Validate checks every spec's parameters. Times, durations, detection
+// latencies and factors must be finite, and so must every window end: a
+// NaN or infinite event time never fires, so the cluster loop could
+// neither reach it nor finish without it.
 func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
 	}
 	for i, c := range p.Crashes {
-		if c.AtMS < 0 || c.DetectMS < 0 {
-			return fmt.Errorf("faults: crash %d: negative time", i)
+		if !finiteTime(c.AtMS) || !finiteTime(c.DetectMS) || !finiteTime(c.AtMS+c.DetectMS) {
+			return fmt.Errorf("faults: crash %d: time %v with detection latency %v, want finite and non-negative", i, c.AtMS, c.DetectMS)
 		}
 		if c.Instance < 0 {
 			return fmt.Errorf("faults: crash %d: instance must be a concrete ID", i)
 		}
 	}
 	for i, b := range p.Brownouts {
-		if b.AtMS < 0 || b.DurationMS <= 0 {
-			return fmt.Errorf("faults: brownout %d: non-positive window", i)
+		if !window(b.AtMS, b.DurationMS) {
+			return fmt.Errorf("faults: brownout %d: window %v+%v, want a finite non-negative start and positive duration", i, b.AtMS, b.DurationMS)
 		}
-		if b.Factor <= 0 || b.Factor > 1 {
+		if !(b.Factor > 0 && b.Factor <= 1) {
 			return fmt.Errorf("faults: brownout %d: factor %v outside (0, 1]", i, b.Factor)
 		}
 		if b.Instance < AllInstances {
@@ -158,14 +161,24 @@ func (p *Plan) Validate() error {
 		}
 	}
 	for i, s := range p.Stalls {
-		if s.AtMS < 0 || s.DurationMS <= 0 {
-			return fmt.Errorf("faults: stall %d: non-positive window", i)
+		if !window(s.AtMS, s.DurationMS) {
+			return fmt.Errorf("faults: stall %d: window %v+%v, want a finite non-negative start and positive duration", i, s.AtMS, s.DurationMS)
 		}
 		if s.Instance < AllInstances {
 			return fmt.Errorf("faults: stall %d: bad instance %d", i, s.Instance)
 		}
 	}
 	return nil
+}
+
+// finiteTime reports whether t is finite and non-negative. NaN fails
+// both comparisons.
+func finiteTime(t float64) bool { return t >= 0 && t <= math.MaxFloat64 }
+
+// window reports whether [at, at+dur] has a finite non-negative start, a
+// positive duration and a finite end (which bounds dur as well).
+func window(at, dur float64) bool {
+	return finiteTime(at) && dur > 0 && finiteTime(at+dur)
 }
 
 // Event is one compiled fault occurrence, ready for the shared-clock

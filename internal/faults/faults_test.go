@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -72,6 +73,22 @@ func TestValidateRejects(t *testing.T) {
 		{Brownouts: []Brownout{{AtMS: 0, DurationMS: 1, Factor: 1.5}}},
 		{Brownouts: []Brownout{{AtMS: 0, DurationMS: 1, Factor: 0}}},
 		{Stalls: []Stall{{AtMS: 0, DurationMS: 0}}},
+		// Non-finite times, durations, latencies and factors, and
+		// windows whose end overflows.
+		{Crashes: []Crash{{AtMS: math.NaN(), Instance: 0}}},
+		{Crashes: []Crash{{AtMS: math.Inf(1), Instance: 0}}},
+		{Crashes: []Crash{{AtMS: 0, Instance: 0, DetectMS: math.NaN()}}},
+		{Crashes: []Crash{{AtMS: 0, Instance: 0, DetectMS: math.Inf(1)}}},
+		{Crashes: []Crash{{AtMS: math.MaxFloat64, Instance: 0, DetectMS: math.MaxFloat64}}},
+		{Brownouts: []Brownout{{AtMS: math.NaN(), DurationMS: 1, Factor: 0.5}}},
+		{Brownouts: []Brownout{{AtMS: 0, DurationMS: math.NaN(), Factor: 0.5}}},
+		{Brownouts: []Brownout{{AtMS: 0, DurationMS: math.Inf(1), Factor: 0.5}}},
+		{Brownouts: []Brownout{{AtMS: math.MaxFloat64, DurationMS: math.MaxFloat64, Factor: 0.5}}},
+		{Brownouts: []Brownout{{AtMS: 0, DurationMS: 1, Factor: math.NaN()}}},
+		{Brownouts: []Brownout{{AtMS: 0, DurationMS: 1, Factor: math.Inf(1)}}},
+		{Stalls: []Stall{{AtMS: math.Inf(1), DurationMS: 1}}},
+		{Stalls: []Stall{{AtMS: 0, DurationMS: math.NaN()}}},
+		{Stalls: []Stall{{AtMS: 0, DurationMS: math.Inf(1)}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -84,8 +101,33 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// goodPlanSpec exercises every kind and field of the plan syntax.
+const goodPlanSpec = "crash@5000:i1:d250, brownout@2000+3000:staging:x0.25:i0, stall@1000+200:pcie"
+
+// badPlanSpecs are specs ParsePlan must reject.
+var badPlanSpecs = []string{
+	"crash@5000",         // no instance
+	"nuke@1",             // unknown kind
+	"brownout@1:x0.5",    // no window
+	"crash@x",            // bad time
+	"crash@1:i0:zoom",    // unknown field
+	"brownout@1+2:x9:i0", // factor out of range
+	// Non-finite values, which used to crash or hang the cluster loop
+	// or serve NaN latencies.
+	"crash@NaN:i0",
+	"crash@Inf:i0",
+	"crash@5:i0:dNaN",
+	"crash@5:i0:d+Inf",
+	"stall@NaN+5:pcie",
+	"stall@5+Inf:pcie",
+	"brownout@100+NaN:pcie:x0.5",
+	"brownout@100+200:pcie:xNaN:i0",
+	"brownout@100+200:pcie:x-Inf:i0",
+	"brownout@1e308+1e308:pcie:x0.5",
+}
+
 func TestParsePlan(t *testing.T) {
-	p, err := ParsePlan("crash@5000:i1:d250, brownout@2000+3000:staging:x0.25:i0, stall@1000+200:pcie")
+	p, err := ParsePlan(goodPlanSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,16 +140,39 @@ func TestParsePlan(t *testing.T) {
 	if len(p.Stalls) != 1 || p.Stalls[0] != (Stall{AtMS: 1000, DurationMS: 200, Link: LinkPCIe, Instance: AllInstances}) {
 		t.Fatalf("stalls: %+v", p.Stalls)
 	}
-	for _, bad := range []string{
-		"crash@5000",         // no instance
-		"nuke@1",             // unknown kind
-		"brownout@1:x0.5",    // no window
-		"crash@x",            // bad time
-		"crash@1:i0:zoom",    // unknown field
-		"brownout@1+2:x9:i0", // factor out of range
-	} {
+	for _, bad := range badPlanSpecs {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Fatalf("ParsePlan(%q): expected error", bad)
 		}
 	}
+}
+
+// FuzzParsePlan: no spec panics the parser, and every plan it accepts
+// compiles to an event stream whose times are finite and non-decreasing —
+// what the cluster loop's event merge relies on.
+func FuzzParsePlan(f *testing.F) {
+	f.Add(goodPlanSpec)
+	for _, spec := range badPlanSpecs {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		evs, err := p.Compile()
+		if err != nil {
+			t.Fatalf("ParsePlan(%q) accepted a plan Compile rejects: %v", spec, err)
+		}
+		prev := 0.0
+		for i, e := range evs {
+			if !(e.TimeMS >= prev && e.TimeMS <= math.MaxFloat64) {
+				t.Fatalf("ParsePlan(%q): event %d at %v after %v", spec, i, e.TimeMS, prev)
+			}
+			if !(e.EndMS >= 0 && e.EndMS <= math.MaxFloat64) {
+				t.Fatalf("ParsePlan(%q): event %d ends at %v", spec, i, e.EndMS)
+			}
+			prev = e.TimeMS
+		}
+	})
 }

@@ -165,9 +165,6 @@ func (l *Link) SetBandwidthScale(f float64) {
 	l.scale = f
 }
 
-// BandwidthScale returns the current brownout factor (1 = nominal).
-func (l *Link) BandwidthScale() float64 { return l.scale }
-
 // Stall freezes the link until untilMS — an expert-load stall: queued
 // prefetches pause and the on-demand stream becomes free no earlier than
 // untilMS, so loads issued during the window wait it out. A no-op when

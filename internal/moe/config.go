@@ -232,9 +232,6 @@ func (c Config) ActiveParams() int64 {
 // paper identifies as wasted by no-offload serving (§2.2).
 func (c Config) InactiveParams() int64 { return c.TotalParams() - c.ActiveParams() }
 
-// TotalBytes returns the serving-precision size of the whole model.
-func (c Config) TotalBytes() int64 { return c.TotalParams() * c.BytesPerParam }
-
 // DenseBytes returns the byte size of the non-offloadable portion (dense
 // weights plus pinned shared experts).
 func (c Config) DenseBytes() int64 {

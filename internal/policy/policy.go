@@ -79,13 +79,6 @@ type Runtime interface {
 	// copy is pinned by the executing layer (in-use weights are never
 	// dropped).
 	Demote(ref moe.ExpertRef, now float64) bool
-	// MemoryPressure reports the host DRAM tier's thrash level in
-	// [0, 1]: the exponentially decayed fraction of recent expert
-	// fetches that had to be staged from below DRAM. 0 under the
-	// degenerate unbounded configuration (no fetch can spill), rising
-	// toward 1 when the working set outgrows the DRAM budget and churns
-	// through the staging link.
-	MemoryPressure() float64
 	// Account charges ms to component c of the engine's latency
 	// breakdown (Fig. 17). Policies charge their own work here,
 	// including asynchronous work that never delays inference; the

@@ -68,13 +68,6 @@ func Seeded(seed uint64) RNG {
 	return r
 }
 
-// Reseed resets the generator in place to the stream New(seed) produces,
-// clearing any cached Gaussian spare. It lets long-lived scratch
-// generators be re-keyed per stream without allocating.
-func (r *RNG) Reseed(seed uint64) {
-	*r = Seeded(seed)
-}
-
 // Derive returns a new independent generator whose stream is a deterministic
 // function of this generator's seed material and the supplied keys. Derive
 // does not consume randomness from the parent, so sibling streams are stable

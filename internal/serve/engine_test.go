@@ -151,7 +151,7 @@ func TestFineMoEBeatsOnDemandLatency(t *testing.T) {
 	testTraces := buildTraces(m, testSet)
 
 	store := core.BuildStore(cfg, 300, 2, storeTraces)
-	fine := core.NewFineMoE(store, core.Options{PrefetchDistance: 2, DisableStoreUpdate: true})
+	fine := core.NewFineMoE(store, core.Options{PrefetchDistance: 2})
 	eF := New(Options{Model: m, GPU: testGPU(), NumGPUs: 2, CacheBytes: cfg.ExpertBytes() * int64(cfg.NumExperts()) / 2, Policy: fine})
 	resF := eF.RunOffline(testSet, testTraces)
 

@@ -206,10 +206,12 @@ func (e *Engine) Demote(ref moe.ExpertRef, now float64) bool {
 	return false
 }
 
-// MemoryPressure implements policy.Runtime: the decayed fraction of
-// recent expert fetches staged from below DRAM (0 under the degenerate
-// unbounded configuration, where no fetch can spill; approaching 1 when
-// the working set thrashes through the NVMe staging link).
+// MemoryPressure reports the host DRAM tier's thrash level in [0, 1]:
+// the decayed fraction of recent expert fetches staged from below DRAM
+// (0 under the degenerate unbounded configuration, where no fetch can
+// spill; approaching 1 when the working set thrashes through the NVMe
+// staging link). The cluster's instance states and the live server's
+// stats read it.
 func (e *Engine) MemoryPressure() float64 {
 	if e.host[0].Unbounded() {
 		return 0

@@ -219,9 +219,8 @@ func TestZeroCapacityDRAMEngine(t *testing.T) {
 
 // TestMemoryPressureTracksSpill verifies the thrash signal rises while
 // fetches spill below DRAM and decays back once the working set fits —
-// the property the memory-aware router and the autoscaler's
-// MemoryHighWatermark trigger depend on (plain occupancy could not
-// provide it: a warm-filled bounded tier is 100% occupied all run).
+// the property the memory-aware router depends on (plain occupancy could
+// not provide it: a warm-filled bounded tier is 100% occupied all run).
 func TestMemoryPressureTracksSpill(t *testing.T) {
 	e := tieredEngine(t, 3)
 	// Spill phase: fetch distinct NVMe-resident experts.

@@ -18,9 +18,8 @@ type SessionConfig struct {
 	// MeanTurns is the mean session length in turns. Lengths are
 	// geometric: after every turn the session continues with probability
 	// 1 − 1/MeanTurns, so MeanTurns ≤ 1 means single-turn sessions.
+	// No session runs past 16 turns.
 	MeanTurns float64
-	// MaxTurns caps a session's length (0 = 16).
-	MaxTurns int
 	// ThinkTimeS is the mean exponential think time between a turn's
 	// completion and the follow-up's arrival, in seconds.
 	ThinkTimeS float64
@@ -30,10 +29,11 @@ type SessionConfig struct {
 	Drift float64
 }
 
+// maxTurns caps a session's length: the turn with index maxTurns−1 is
+// always the last.
+const maxTurns = 16
+
 func (c SessionConfig) withDefaults() SessionConfig {
-	if c.MaxTurns <= 0 {
-		c.MaxTurns = 16
-	}
 	if c.ThinkTimeS <= 0 {
 		c.ThinkTimeS = 2
 	}
@@ -48,7 +48,7 @@ const sessionSalt uint64 = 0x5e55
 
 // turnIDStride separates the request IDs of a session's turns: turn k of
 // session s has ID s + k·turnIDStride, unique while initial IDs stay below
-// the stride and sessions below MaxTurns turns.
+// the stride and sessions below maxTurns turns.
 const turnIDStride uint64 = 1 << 48
 
 // Sessions generates multi-turn session workloads over a dataset. The
@@ -87,7 +87,7 @@ func (s *Sessions) Initial(ap ArrivalProcess, n int, idBase uint64) []Request {
 // and its topic, dataset and tenant carry over.
 func (s *Sessions) FollowUp(parent Request, doneMS float64) (Request, bool) {
 	turn := parent.Turn + 1
-	if turn >= s.cfg.MaxTurns || s.cfg.MeanTurns <= 1 {
+	if turn >= maxTurns || s.cfg.MeanTurns <= 1 {
 		return Request{}, false
 	}
 	r := rng.New(rng.Mix(s.seed, parent.Session, uint64(turn), sessionSalt))

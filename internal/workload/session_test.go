@@ -108,10 +108,11 @@ func TestSessionMeanTurns(t *testing.T) {
 	}
 }
 
-// TestSessionMaxTurns: the cap ends even always-continue sessions.
+// TestSessionMaxTurns: the 16-turn cap ends even always-continue
+// sessions.
 func TestSessionMaxTurns(t *testing.T) {
 	s := NewSessions(LMSYSChat1M(), 16,
-		SessionConfig{MeanTurns: 1e9, MaxTurns: 4, ThinkTimeS: 1}, 3)
+		SessionConfig{MeanTurns: 1e9, ThinkTimeS: 1}, 3)
 	cur := s.Initial(Poisson{RatePerSec: 4}, 1, 0)[0]
 	turns := 1
 	for {
@@ -121,12 +122,12 @@ func TestSessionMaxTurns(t *testing.T) {
 		}
 		turns++
 		cur = fu
-		if turns > 10 {
-			t.Fatal("session exceeded MaxTurns without ending")
+		if turns > 2*maxTurns {
+			t.Fatal("session exceeded the turn cap without ending")
 		}
 	}
-	if turns != 4 {
-		t.Fatalf("session ran %d turns, want MaxTurns=4", turns)
+	if turns != 16 {
+		t.Fatalf("session ran %d turns, want the cap of 16", turns)
 	}
 }
 
