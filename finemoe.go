@@ -11,9 +11,9 @@
 //     redundancy-scored deduplication, semantic+trajectory search through
 //     a centroid-clustered index (exact probe-all mode is byte-identical
 //     to a brute-force scan; FineMoEOptions.SearchNProbe opts into
-//     approximate search — see the searchfig experiment), zero-copy
-//     generation-counted store snapshots, similarity-aware δ-threshold
-//     prefetching, and priority-driven caching/eviction;
+//     approximate search — see the searchfig experiment),
+//     similarity-aware δ-threshold prefetching, and priority-driven
+//     caching/eviction;
 //   - the four baselines the paper compares against (DeepSpeed-Inference,
 //     Mixtral-Offloading, ProMoE, MoE-Infinity) plus No-Offload;
 //   - a virtual-time serving engine over a simulated multi-GPU cluster with
@@ -364,7 +364,8 @@ func NewEngine(opts EngineOptions) *Engine { return serve.New(opts) }
 // --- Cluster serving --------------------------------------------------------
 
 // Cluster orchestrates N serving engines behind the admission → routing →
-// instance → aggregation pipeline under one shared virtual clock.
+// instance → aggregation pipeline under one shared virtual clock. Build
+// it with NewCluster and run it once, with RunTrace or RunStream.
 type Cluster = cluster.Cluster
 
 // ClusterOptions assembles a cluster: per-instance engines plus admission

@@ -338,7 +338,7 @@ func TestAutoscaledClusterGrowsAndShrinks(t *testing.T) {
 
 	// Retired instances finished draining: no queued or in-flight work.
 	retired := 0
-	for _, in := range c.Instances() {
+	for _, in := range c.instances {
 		if !in.Retiring {
 			continue
 		}
@@ -419,20 +419,18 @@ func TestSingleInstanceFleetHitRateMatchesEngine(t *testing.T) {
 	}
 }
 
-// TestAutoscaleViaOfferDrain: the Offer+Drain path honors the autoscaler
-// exactly like RunTrace — a burst offered up front must still grow the
-// fleet during the drain, and the idle tail must shrink it (regression:
-// Drain used to skip autoscale ticks entirely).
+// TestAutoscaleViaOfferDrain: autoscale ticks keep firing while the loop
+// drains with no arrivals left — a burst offered up front must still grow
+// the fleet during the drain, and the idle tail must shrink it.
 func TestAutoscaleViaOfferDrain(t *testing.T) {
 	m := moe.NewModel(moe.Tiny(), 7)
 	c := autoscaledCluster(m)
 	for _, q := range testTrace(m.Cfg, 24, 50, 3) {
-		c.Offer(q)
+		c.offer(q, nil)
 	}
-	c.Drain()
-	res := c.Finalize()
+	res := c.RunTrace(nil)
 	if len(res.ScaleEvents) == 0 {
-		t.Fatal("no scale events on the Offer+Drain path")
+		t.Fatal("no scale events while draining")
 	}
 	if res.PeakInstances < 2 {
 		t.Fatalf("burst did not grow the fleet during drain: peak %d", res.PeakInstances)

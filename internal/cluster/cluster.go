@@ -22,8 +22,8 @@ import (
 	"finemoe/internal/workload"
 )
 
-// Instance is one serving replica: an engine plus fleet bookkeeping.
-type Instance struct {
+// instance is one serving replica: an engine plus fleet bookkeeping.
+type instance struct {
 	// ID is the instance's stable identity within the fleet and its
 	// index in the cluster's append-only instance list: IDs are assigned
 	// in joining order and never reused, so an instance keeps its ID when
@@ -56,15 +56,13 @@ type Instance struct {
 	observed int
 }
 
-// State snapshots the instance's load view for admission and routing.
-func (in *Instance) State() InstanceState {
+// state snapshots the instance's load view for admission and routing.
+func (in *instance) state() InstanceState {
 	return InstanceState{
 		ID:          in.ID,
 		QueueDepth:  in.Engine.QueueDepth(),
 		InFlight:    in.Engine.InFlight(),
-		Completed:   in.Engine.CompletedCount(),
 		Submitted:   in.Submitted,
-		NowMS:       in.Engine.Now(),
 		MemPressure: in.Engine.MemoryPressure(),
 	}
 }
@@ -74,9 +72,7 @@ type InstanceState struct {
 	ID         int
 	QueueDepth int
 	InFlight   int
-	Completed  int
 	Submitted  int
-	NowMS      float64
 	// MemPressure is the instance's host-DRAM thrash level: the decayed
 	// fraction of recent expert fetches staged from below DRAM (0 under
 	// the degenerate unbounded-DRAM configuration or when the working
@@ -147,9 +143,10 @@ type Options struct {
 	Resilience ResilienceOptions
 }
 
-// Cluster is a fleet of serving instances sharing one virtual clock.
+// Cluster is a fleet of serving instances sharing one virtual clock. A
+// cluster is built with New and run once, with RunStream or RunTrace.
 type Cluster struct {
-	instances []*Instance
+	instances []*instance
 	admission Admission
 	router    Router
 
@@ -168,10 +165,11 @@ type Cluster struct {
 	// the cost that dominates large autoscaled fleets. evtTimes caches
 	// each instance's next event time as of its last refresh; evtPos maps
 	// instance index to heap position. Entries are refreshed at exactly
-	// the points an engine's event time can change: Submit (Offer), Step,
-	// and instance creation (grow). The heap order (time asc, index asc)
-	// reproduces the scan's lowest-index-wins tie-break, so event order —
-	// and with it every golden — is byte-identical to the linear scan.
+	// the points an engine's event time can change: Submit, Cancel, Step,
+	// Crash, and instance creation (spawn). The heap order (time asc,
+	// index asc) reproduces the scan's lowest-index-wins tie-break, so
+	// event order — and with it every golden — is byte-identical to the
+	// linear scan.
 	evtHeap  []int32
 	evtTimes []float64
 	evtPos   []int32
@@ -197,13 +195,12 @@ type Cluster struct {
 
 	// Resilience state (resOn): request sagas keyed by copy ID (lookups
 	// and deletes only — never ranged), the pending reaction queue sorted
-	// by (time, seq), per-tenant retry budgets, completions that lost a
-	// hedge/retry race, and the availability counters.
+	// by time in schedule order, per-tenant retry budgets, completions
+	// that lost a hedge/retry race, and the availability counters.
 	resOn        bool
 	res          ResilienceOptions
 	records      map[uint64]*resRecord
 	resEvents    []resEvent
-	resSeq       int
 	budgets      map[string]*tenantBudget
 	stale        map[staleKey]bool
 	failedReqs   int
@@ -218,7 +215,7 @@ type Cluster struct {
 	handOffs int
 
 	// statesBuf is the reusable backing array for activeStates: the
-	// routable-fleet snapshot is rebuilt on every Offer and autoscale
+	// routable-fleet snapshot is rebuilt on every offer and autoscale
 	// tick, and the policy contract (Admission/Router/Autoscaler docs)
 	// already forbids retaining the slice past the call, so one buffer
 	// serves the whole run.
@@ -291,7 +288,7 @@ func New(opts Options) *Cluster {
 		if e == nil {
 			panic("cluster: nil engine")
 		}
-		c.instances = append(c.instances, &Instance{ID: i, Engine: e})
+		c.instances = append(c.instances, &instance{ID: i, Engine: e})
 		c.evtPush(i)
 	}
 	return c
@@ -361,7 +358,8 @@ func (c *Cluster) evtPush(idx int) {
 }
 
 // refreshEvent re-reads instance idx's next event time and restores heap
-// order. Call after any operation that can change it (Submit, Step).
+// order. Call after any operation that can change it (Submit, Cancel,
+// Step, Crash).
 //
 //finemoe:hotpath
 func (c *Cluster) refreshEvent(idx int) {
@@ -375,13 +373,9 @@ func (c *Cluster) refreshEvent(idx int) {
 	c.evtDown(int(c.evtPos[idx]))
 }
 
-// Size returns the number of instances ever part of the fleet, including
-// retiring ones.
-func (c *Cluster) Size() int { return len(c.instances) }
-
-// ActiveSize returns the routable fleet size (instances neither retiring
+// activeSize returns the routable fleet size (instances neither retiring
 // nor detectedly crashed).
-func (c *Cluster) ActiveSize() int {
+func (c *Cluster) activeSize() int {
 	n := 0
 	for _, in := range c.instances {
 		if !in.Retiring && !in.Detected {
@@ -391,85 +385,46 @@ func (c *Cluster) ActiveSize() int {
 	return n
 }
 
-// ScaleEvents returns the autoscaler's resize history so far (shared;
-// callers must not mutate).
-func (c *Cluster) ScaleEvents() []ScaleEvent { return c.events }
-
-// Instances returns the fleet (shared; callers must not mutate the slice).
-// The cluster caches each engine's next event time in its event heap,
-// refreshed at exactly the points the loop itself can change it (Offer's
-// Submit, Step, grow, crash); a caller that mutates an engine
-// behind this accessor in a way that moves its next event time — e.g.
-// Submit or AdvanceClock outside Offer/Step — must call SyncEvents before
-// the next Offer/Step/RunTrace/Drain, or the loop may schedule against a
-// stale time.
-func (c *Cluster) Instances() []*Instance { return c.instances }
-
-// SyncEvents re-reads every instance's next event time into the event
-// heap. It is the repair step for external engine mutation (see
-// Instances); the loop's own paths never need it.
-func (c *Cluster) SyncEvents() {
-	for i := range c.instances {
-		c.refreshEvent(i)
-	}
-}
-
-// Now returns the cluster clock: the latest cluster-level event time.
-func (c *Cluster) Now() float64 { return c.now }
-
-// Rejected counts requests shed by admission so far.
-func (c *Cluster) Rejected() int { return c.rejected }
-
-// Admitted counts requests accepted so far.
-func (c *Cluster) Admitted() int { return c.admitted }
-
 // activeStates snapshots the routable fleet — the view admission, routing
 // and autoscaling observe. Entries are ordered by ascending instance ID
 // (creation order), and each entry's ID is the instance's stable
 // identity, not its position. A crashed instance stays routable until
 // its crash is detected — the fleet cannot act on what it has not yet
 // observed. The returned slice aliases the cluster's snapshot buffer and
-// is valid only until the next Offer or autoscale tick (the same
-// lifetime the policy interfaces already promise their callees).
+// is valid only until the next snapshot (the same lifetime the policy
+// interfaces already promise their callees).
 func (c *Cluster) activeStates() []InstanceState {
 	out := c.statesBuf[:0]
 	for _, in := range c.instances {
 		if !in.Retiring && !in.Detected {
-			out = append(out, in.State())
+			out = append(out, in.state())
 		}
 	}
 	c.statesBuf = out[:0]
 	return out
 }
 
-// Offer runs one request through admission and routing at the request's
-// arrival time (clamped forward to the cluster clock) and submits it to
-// the chosen instance. Returns the instance ID, or -1 when admission
-// sheds the request. Retiring instances are invisible to admission and
-// routing.
-func (c *Cluster) Offer(req workload.Request) int { return c.offer(req, nil) }
-
-// offer is Offer for a request the pipeline may have traced ahead (its
-// non-nil). The trace goes to the routed engine only when that engine
+// offer runs one arrival through admission and routing at its arrival
+// time (clamped forward to the cluster clock) and submits it to the
+// chosen instance unless admission sheds it. Retiring and detectedly
+// crashed instances are invisible to admission and routing.
+//
+// its is the arrival's gate trace when the pipeline traced it ahead (nil
+// otherwise). The trace goes to the routed engine only when that engine
 // serves the pipeline's model and has nothing queued, so the trace is
 // consumed at once instead of waiting in memory behind a backlog;
 // otherwise it is recycled and the engine traces at admission.
-func (c *Cluster) offer(req workload.Request, its []*moe.Iteration) int {
+func (c *Cluster) offer(req workload.Request, its []*moe.Iteration) {
 	if t := req.ArrivalMS; t > c.now {
 		c.now = t
 	}
 	fleet := c.activeStates()
-	if len(fleet) == 0 {
-		// Every instance crashed or retired (reachable only under a fault
-		// plan): there is nowhere to route, so the request is shed.
+	// With every instance crashed or retired (reachable only under a
+	// fault plan) there is nowhere to route, so the request is shed.
+	if len(fleet) == 0 || !c.admission.Admit(req, c.now, fleet) {
 		c.ahead.recycle(its)
 		c.rejected++
-		return -1
-	}
-	if !c.admission.Admit(req, c.now, fleet) {
-		c.ahead.recycle(its)
-		c.rejected++
-		return -1
+		return
 	}
 	c.admitted++
 	i := c.router.Route(req, c.now, fleet)
@@ -491,12 +446,7 @@ func (c *Cluster) offer(req workload.Request, its []*moe.Iteration) int {
 	} else if c.followUp != nil {
 		c.inFlightReqs[req.ID] = req
 	}
-	return in.ID
 }
-
-// FollowUps counts follow-up requests injected by the FollowUp hook so
-// far.
-func (c *Cluster) FollowUps() int { return c.followUps }
 
 // observeCompletions reacts to every request the instance completed
 // since the last call. Called after every engine step, so observation
@@ -506,7 +456,7 @@ func (c *Cluster) FollowUps() int { return c.followUps }
 // effects (hedge-loser cancellation, follow-up injection) then take
 // effect at the copy's virtual completion time, after every earlier
 // event. Otherwise the FollowUp hook (if any) is consulted directly.
-func (c *Cluster) observeCompletions(in *Instance) {
+func (c *Cluster) observeCompletions(in *instance) {
 	if c.followUp == nil && !c.resOn {
 		return
 	}
@@ -596,7 +546,7 @@ func (c *Cluster) autoscale(nowMS float64) {
 // spawn joins a fresh cold-store instance from the factory at cluster
 // time t (an autoscaler grow or a crash replacement). Its ID is its
 // index in the instance list.
-func (c *Cluster) spawn(t float64) *Instance {
+func (c *Cluster) spawn(t float64) *instance {
 	id := len(c.instances)
 	e := c.factory(id)
 	if e == nil {
@@ -605,7 +555,7 @@ func (c *Cluster) spawn(t float64) *Instance {
 	// Align the fresh engine's clock with the fleet so its requests are
 	// not timestamped in its pre-spawn past.
 	e.AdvanceClock(t)
-	in := &Instance{ID: id, Engine: e, StartedMS: t}
+	in := &instance{ID: id, Engine: e, StartedMS: t}
 	c.instances = append(c.instances, in)
 	c.evtPush(id)
 	return in
@@ -630,7 +580,7 @@ func (c *Cluster) nextInstanceEvent() (float64, int) {
 }
 
 // nextInstanceEventScan is the seed's linear scan, kept as the reference
-// the heap is property-tested against (cluster_test.go).
+// the heap is property-tested against (eventheap_test.go).
 func (c *Cluster) nextInstanceEventScan() (float64, int) {
 	t, which := math.Inf(1), -1
 	for i, in := range c.instances {
@@ -639,35 +589,6 @@ func (c *Cluster) nextInstanceEventScan() (float64, int) {
 		}
 	}
 	return t, which
-}
-
-// Step processes the cluster's earliest pending instance event at or
-// before until; reports whether any work was done. Step's scope is
-// instance events only — arrival offering and autoscale ticks belong to
-// the RunTrace/Drain loop.
-func (c *Cluster) Step(until float64) bool {
-	t, which := c.nextInstanceEvent()
-	if which < 0 || t > until {
-		return false
-	}
-	did := c.instances[which].Engine.Step(until)
-	c.refreshEvent(which)
-	c.observeCompletions(c.instances[which])
-	return did
-}
-
-// Drain runs every submitted request on every instance to completion,
-// interleaving instances, follow-up arrivals and autoscale ticks in
-// shared-clock order, and returns the fleet makespan.
-func (c *Cluster) Drain() float64 {
-	c.run(nil)
-	wall := 0.0
-	for _, in := range c.instances {
-		if t := in.Engine.Now(); t > wall {
-			wall = t
-		}
-	}
-	return wall
 }
 
 // RunTrace replays an arrival trace (sorted by ArrivalMS) through the
@@ -703,17 +624,16 @@ func (c *Cluster) RunTrace(trace []workload.Request) *Result {
 // pipeline.go). The helper has exited by the time RunStream returns.
 func (c *Cluster) RunStream(src workload.Source) *Result {
 	c.run(src)
-	return c.Finalize()
+	return c.finalize()
 }
 
-// run is the shared-clock loop behind RunStream/RunTrace (with a source)
-// and Drain (without): it merges source arrivals, injected follow-ups,
-// autoscale ticks and instance events until the source is exhausted, the
-// injected queue is empty, and every instance is drained. Every event is
-// processed on this goroutine; the gate-trace pipeline's helper only
-// reads src ahead of it.
+// run is the shared-clock loop behind RunStream: it merges source
+// arrivals, injected follow-ups, autoscale ticks and instance events
+// until the source is exhausted, the injected queue is empty, and every
+// instance is drained. Every event is processed on this goroutine; the
+// gate-trace pipeline's helper only reads src ahead of it.
 func (c *Cluster) run(src workload.Source) {
-	if m := c.sharedModel(); src != nil && m != nil {
+	if m := c.sharedModel(); m != nil {
 		c.ahead = startPipeline(m, src)
 		defer func() {
 			c.ahead.close()
@@ -768,7 +688,7 @@ func (c *Cluster) run(src workload.Source) {
 			if fromTrace {
 				c.offer(cursor.pop())
 			} else {
-				c.Offer(c.popInjected())
+				c.offer(c.popInjected(), nil)
 			}
 			continue
 		}

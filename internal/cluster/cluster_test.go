@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/json"
-	"math"
 	"testing"
 
 	"finemoe/internal/core"
@@ -331,19 +330,13 @@ func TestClusterSharedClockOrdering(t *testing.T) {
 	c := New(Options{Engines: testEngines(m, 3), Router: NewLeastLoaded()})
 	trace := testTrace(m.Cfg, 16, 40, 5)
 	for _, q := range trace {
-		if got := c.Offer(q); got < 0 {
-			t.Fatalf("always-admit rejected %d", q.ID)
-		}
-		for c.Step(q.ArrivalMS) {
+		c.offer(q, nil)
+		for stepNext(c, q.ArrivalMS) {
 		}
 	}
-	wall := c.Drain()
-	res := c.Finalize()
+	res := c.RunTrace(nil)
 	if res.Served != 16 {
 		t.Fatalf("served %d, want 16", res.Served)
-	}
-	if math.Abs(wall-res.WallClockMS) > 1e-9 {
-		t.Fatalf("Drain wall %v != result wall %v", wall, res.WallClockMS)
 	}
 	for _, ir := range res.Instances {
 		if ir.Result.WallClockMS > res.WallClockMS+1e-9 {

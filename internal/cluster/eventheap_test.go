@@ -19,10 +19,26 @@ func checkHeapAgainstScan(t *testing.T, c *Cluster) {
 	}
 }
 
-// TestNextEventHeapMatchesScan drives a fleet through offers, steps, and
-// autoscale resizes, asserting after every operation that the cached
-// next-event min tracking returns exactly what the seed's O(instances)
-// scan would — same instance, same time, lowest-index tie-break included.
+// stepNext processes the fleet's earliest instance event if it falls at
+// or before until, exactly as the shared-clock loop's instance branch
+// does, and reports whether it did. Tests use it to interleave instance
+// events with offers and autoscale ticks by hand.
+func stepNext(c *Cluster, until float64) bool {
+	tm, which := c.nextInstanceEvent()
+	if which < 0 || tm > until {
+		return false
+	}
+	c.instances[which].Engine.Step(tm)
+	c.refreshEvent(which)
+	c.observeCompletions(c.instances[which])
+	return true
+}
+
+// TestNextEventHeapMatchesScan drives a fleet through offers, instance
+// events and autoscale resizes, asserting after every operation that the
+// cached next-event min tracking returns exactly what the seed's
+// O(instances) scan would — same instance, same time, lowest-index
+// tie-break included.
 func TestNextEventHeapMatchesScan(t *testing.T) {
 	cfg := moe.Tiny()
 	m := moe.NewModel(cfg, 17)
@@ -41,7 +57,7 @@ func TestNextEventHeapMatchesScan(t *testing.T) {
 	// queue-pressure policy across its grow threshold when we tick.
 	trace := testTrace(cfg, 40, 50, 3)
 	for _, q := range trace {
-		c.Offer(q)
+		c.offer(q, nil)
 		checkHeapAgainstScan(t, c)
 	}
 	tick := 0.0
@@ -50,36 +66,24 @@ func TestNextEventHeapMatchesScan(t *testing.T) {
 		c.autoscale(tick)
 		checkHeapAgainstScan(t, c)
 	}
-	// Interleave a few bounded steps with further ticks like the
+	// Interleave a few instance events with further ticks like the
 	// shared-clock loop would.
-	for i := 0; i < 10; i++ {
-		tm, which := c.nextInstanceEvent()
-		if which < 0 {
-			break
-		}
-		c.Step(tm)
+	for i := 0; i < 10 && stepNext(c, math.Inf(1)); i++ {
 		checkHeapAgainstScan(t, c)
 		tick += 25
 		c.autoscale(tick)
 		checkHeapAgainstScan(t, c)
 	}
 	// Drain the rest one event at a time.
-	for {
-		tm, which := c.nextInstanceEvent()
-		if which < 0 {
-			break
-		}
-		if !c.Step(tm) {
-			t.Fatal("Step refused its own next event time")
-		}
+	for stepNext(c, math.Inf(1)) {
 		checkHeapAgainstScan(t, c)
 	}
 	tm, which := c.nextInstanceEvent()
 	if which != -1 || !math.IsInf(tm, 1) {
 		t.Fatalf("drained fleet reports event (t=%v, i=%d)", tm, which)
 	}
-	if c.Size() <= 3 {
-		t.Fatalf("autoscaler never grew the fleet (size %d) — the grow path went untested", c.Size())
+	if len(c.instances) <= 3 {
+		t.Fatalf("autoscaler never grew the fleet (size %d) — the grow path went untested", len(c.instances))
 	}
 }
 

@@ -39,7 +39,7 @@ func (c *Cluster) logFault(t float64, kind string, instance int) {
 
 // faultTarget returns the instance a fault plan names, or nil — fault
 // plans may target IDs that never joined the fleet.
-func (c *Cluster) faultTarget(id int) *Instance {
+func (c *Cluster) faultTarget(id int) *instance {
 	if id < 0 || id >= len(c.instances) {
 		return nil
 	}
@@ -90,12 +90,12 @@ func (c *Cluster) applyDetect(ev faults.Event) {
 	for _, req := range in.Engine.CrashHarvest() {
 		c.strandedRequest(req, in, ev.TimeMS)
 	}
-	if c.res.ReplaceOnCrash && c.factory != nil && c.ActiveSize() < c.maxInst {
+	if c.res.ReplaceOnCrash && c.factory != nil && c.activeSize() < c.maxInst {
 		// A cold replacement joins through the autoscaler's grow path
 		// but logs its own ScaleEvent kind.
 		fresh := c.spawn(ev.TimeMS)
 		c.events = append(c.events, ScaleEvent{
-			TimeMS: ev.TimeMS, Kind: "replace", Instance: fresh.ID, ActiveAfter: c.ActiveSize(),
+			TimeMS: ev.TimeMS, Kind: "replace", Instance: fresh.ID, ActiveAfter: c.activeSize(),
 		})
 		c.logFault(ev.TimeMS, "replace", fresh.ID)
 	}
@@ -104,7 +104,7 @@ func (c *Cluster) applyDetect(ev faults.Event) {
 // strandedRequest settles one request harvested from a crashed instance:
 // requeue it (resilience with RequeueOnCrash and budget left) or count
 // it lost.
-func (c *Cluster) strandedRequest(req workload.Request, in *Instance, t float64) {
+func (c *Cluster) strandedRequest(req workload.Request, in *instance, t float64) {
 	c.lostInFlight++
 	if !c.resOn {
 		c.failedReqs++

@@ -89,6 +89,35 @@ func TestCrashWithoutResilience(t *testing.T) {
 	}
 }
 
+// TestCrashBillsUpToMakespan: a crashed instance costs instance-hours
+// until its crash or the fleet makespan, whichever comes first. A crash
+// after the last completion bills what the fault-free run bills; a
+// mid-run crash bills less.
+func TestCrashBillsUpToMakespan(t *testing.T) {
+	run := func(plan *faults.Plan) *Result {
+		m := moe.NewModel(moe.Tiny(), 7)
+		c := New(Options{Engines: testEngines(m, 2), FaultPlan: plan})
+		return c.RunTrace(testTrace(m.Cfg, 16, 40, 3))
+	}
+	crashAt := func(ms float64) *faults.Plan {
+		return &faults.Plan{Crashes: []faults.Crash{{AtMS: ms, Instance: 0}}}
+	}
+	base := run(nil)
+	late := run(crashAt(1e300))
+	if late.Crashes != 1 || late.Served != base.Served {
+		t.Fatalf("late crash: crashes %d served %d, want 1 and %d", late.Crashes, late.Served, base.Served)
+	}
+	if late.InstanceHours != base.InstanceHours {
+		t.Fatalf("crash after the makespan billed %v instance-hours, fault-free run %v",
+			late.InstanceHours, base.InstanceHours)
+	}
+	mid := run(crashAt(base.WallClockMS / 2))
+	if mid.Crashes != 1 || mid.InstanceHours >= base.InstanceHours {
+		t.Fatalf("mid-run crash: crashes %d, %v instance-hours, want 1 and below %v",
+			mid.Crashes, mid.InstanceHours, base.InstanceHours)
+	}
+}
+
 // TestResilienceRecoversCrash: requeue-on-crash plus replacement turns
 // every stranded request into a served one — no failures, with retries
 // and a "replace" scale event on the books.

@@ -91,17 +91,16 @@ func TestFollowUpDeterminism(t *testing.T) {
 }
 
 // TestFollowUpDrainPath: follow-ups injected while draining (no trace
-// arrivals left) are still offered and served — Drain merges the
+// arrivals left) are still offered and served — the loop merges the
 // injected queue with instance events.
 func TestFollowUpDrainPath(t *testing.T) {
 	cl, trace, _ := sessionCluster(t, 5)
 	// Offer everything up front, then drain: all follow-ups arrive during
 	// the drain phase.
 	for _, q := range trace {
-		cl.Offer(q)
+		cl.offer(q, nil)
 	}
-	cl.Drain()
-	res := cl.Finalize()
+	res := cl.RunTrace(nil)
 	if res.FollowUps == 0 {
 		t.Fatal("no follow-ups during drain")
 	}

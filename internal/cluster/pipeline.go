@@ -136,9 +136,7 @@ type reqCursor struct {
 
 func newReqCursor(src workload.Source, pipe *tracePipeline) reqCursor {
 	k := reqCursor{src: src, pipe: pipe}
-	if src != nil {
-		k.advance()
-	}
+	k.advance()
 	return k
 }
 

@@ -110,7 +110,6 @@ type resRecord struct {
 // resEvent is one queued resilience reaction.
 type resEvent struct {
 	t   float64
-	seq int
 	k   resKind
 	rec *resRecord
 	// copyIdx selects the copy a timeout targets.
@@ -122,7 +121,7 @@ type resEvent struct {
 }
 
 // staleKey identifies a completion that lost its hedge/retry race, so
-// Finalize can exclude it from fleet aggregates.
+// finalize can exclude it from fleet aggregates.
 type staleKey struct {
 	inst int
 	id   uint64
@@ -138,11 +137,9 @@ type tenantBudget struct {
 // keep bit 63 clear (tenant mixes use bits 32+).
 const hedgeBit = 1 << 63
 
-// scheduleRes queues ev, keeping the queue sorted by (time, schedule
-// order) with stable insertion.
+// scheduleRes queues ev, keeping the queue sorted by time with stable
+// insertion (equal times keep schedule order).
 func (c *Cluster) scheduleRes(ev resEvent) {
-	ev.seq = c.resSeq
-	c.resSeq++
 	i := len(c.resEvents)
 	for i > 0 && c.resEvents[i-1].t > ev.t {
 		i--
@@ -195,9 +192,9 @@ func (c *Cluster) budgetAllows(b *tenantBudget) bool {
 }
 
 // trackDispatch registers a freshly offered request's primary copy and
-// schedules its timeout and hedge deadlines. Called from Offer with the
+// schedules its timeout and hedge deadlines. Called from offer with the
 // clock already clamped to the arrival.
-func (c *Cluster) trackDispatch(req workload.Request, in *Instance) {
+func (c *Cluster) trackDispatch(req workload.Request, in *instance) {
 	rec := &resRecord{orig: req}
 	rec.copies = append(rec.copies, resCopy{id: req.ID, inst: in.ID, live: true})
 	c.records[req.ID] = rec
@@ -240,7 +237,7 @@ func (c *Cluster) failoverFleet(rec *resRecord) []InstanceState {
 // dispatchCopy routes and submits one re-dispatched copy (retry or
 // hedge) at time t, returning the chosen instance, or nil when no
 // instance is routable.
-func (c *Cluster) dispatchCopy(rec *resRecord, id uint64, t float64, hedge bool) *Instance {
+func (c *Cluster) dispatchCopy(rec *resRecord, id uint64, t float64, hedge bool) *instance {
 	fleet := c.failoverFleet(rec)
 	if len(fleet) == 0 {
 		return nil
@@ -296,7 +293,7 @@ func (c *Cluster) processResEvent(ev resEvent) {
 // resolveCompletion settles a copy's completion: the first live copy to
 // complete wins its request, cancels every other live copy, and feeds
 // the follow-up hook; completions of already-resolved requests are
-// marked stale so Finalize excludes them from fleet aggregates.
+// marked stale so finalize excludes them from fleet aggregates.
 func (c *Cluster) resolveCompletion(ev resEvent) {
 	in := c.instances[ev.instIdx]
 	rec := c.records[ev.m.ID]

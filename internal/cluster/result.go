@@ -61,9 +61,10 @@ type Result struct {
 	PeakInstances int
 	// InstanceHours is the fleet's provisioned capacity in virtual
 	// instance-hours: each instance counts from when it joined until it
-	// finished draining (retired), stopped serving (crashed) or until the
-	// fleet makespan (active), so an autoscaled run that shrinks early
-	// costs fewer instance-hours than a fixed fleet of its peak size.
+	// finished draining (retired), stopped serving (crashed, capped at
+	// the fleet makespan) or until the fleet makespan (active), so an
+	// autoscaled run that shrinks early costs fewer instance-hours than a
+	// fixed fleet of its peak size.
 	InstanceHours float64
 	// WallClockMS is the fleet makespan: the latest instance clock.
 	WallClockMS float64
@@ -87,10 +88,8 @@ type Result struct {
 	FaultLog []FaultRecord
 }
 
-// Finalize aggregates everything served so far into a cluster Result
-// without submitting further work. Instances must be drained first (Drain
-// or RunTrace do this).
-func (c *Cluster) Finalize() *Result {
+// finalize aggregates the drained fleet into a cluster Result.
+func (c *Cluster) finalize() *Result {
 	res := &Result{
 		Admission:   c.admission.Name(),
 		Router:      c.router.Name(),
@@ -168,8 +167,9 @@ func (c *Cluster) Finalize() *Result {
 		if in.Crashed {
 			// A crashed instance stops serving (and costing capacity) at
 			// the failure itself; detection latency only delays the fleet's
-			// reaction.
-			end = in.CrashedMS
+			// reaction. A crash after the fleet's last event bills only up
+			// to the makespan.
+			end = min(in.CrashedMS, res.WallClockMS)
 		} else if in.Retiring {
 			// A retired instance stops costing capacity once it has both
 			// been told to drain and finished its last request.

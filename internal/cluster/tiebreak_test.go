@@ -117,8 +117,8 @@ func TestTieBreakArrivalBeatsTick(t *testing.T) {
 // TestTieBreakTickBeatsInstance: an autoscale tick and an instance event
 // at the same timestamp process tick-first — the tick observes the
 // pre-step fleet (the pending request still queued). The instance's
-// pending head is planted through the external Submit path and the heap
-// re-synced via SyncEvents, which also pins that repair API's contract.
+// pending head is planted on its engine directly and the event heap
+// refreshed, so no arrival event competes with it.
 func TestTieBreakTickBeatsInstance(t *testing.T) {
 	cfg := moe.Tiny()
 	m := moe.NewModel(cfg, 7)
@@ -129,17 +129,15 @@ func TestTieBreakTickBeatsInstance(t *testing.T) {
 		EngineFactory:       func(id int) *serve.Engine { return testEngines(m, 1)[0] },
 		AutoscaleIntervalMS: 500,
 	})
-	// Plant a pending arrival at exactly the tick time behind the
-	// cluster's back, then repair the heap.
-	in := c.Instances()[0]
-	in.Engine.Submit(tbReq(cfg, 1, 500))
-	c.SyncEvents()
+	// Plant a pending arrival at exactly the tick time, then refresh the
+	// heap.
+	c.instances[0].Engine.Submit(tbReq(cfg, 1, 500))
+	c.refreshEvent(0)
 	if tm, which := c.nextInstanceEvent(); tm != 500 || which != 0 {
-		t.Fatalf("heap after SyncEvents = (%v, %d), want (500, 0)", tm, which)
+		t.Fatalf("heap after refresh = (%v, %d), want (500, 0)", tm, which)
 	}
-	wall := c.Drain()
-	if wall <= 500 {
-		t.Fatalf("drain wall %v never passed the planted event", wall)
+	if res := c.RunTrace(nil); res.WallClockMS <= 500 {
+		t.Fatalf("drain wall %v never passed the planted event", res.WallClockMS)
 	}
 	if len(log.entries) == 0 {
 		t.Fatal("no tick observed")
@@ -172,8 +170,8 @@ func TestTieBreakThreeWayCoincidence(t *testing.T) {
 	})
 	// Plant an instance event at 500 on the highest instance (kept clear
 	// of routing by the default round-robin starting at 0).
-	c.Instances()[1].Engine.Submit(tbReq(cfg, 50, 500))
-	c.SyncEvents()
+	c.instances[1].Engine.Submit(tbReq(cfg, 50, 500))
+	c.refreshEvent(1)
 	res := c.RunTrace([]workload.Request{tbReq(cfg, 1, 0), tbReq(cfg, 2, 500)})
 	if res.FollowUps != 1 {
 		t.Fatalf("follow-ups %d, want 1", res.FollowUps)

@@ -417,7 +417,7 @@ func (s *Server) fleetStates() []cluster.InstanceState {
 			continue
 		}
 		out = append(out, cluster.InstanceState{
-			ID: i, QueueDepth: s.inflight[i], Completed: s.completed[i],
+			ID: i, QueueDepth: s.inflight[i],
 			Submitted:   s.inflight[i] + s.completed[i],
 			MemPressure: s.memPressure[i],
 		})

@@ -233,6 +233,11 @@ func (r *Runner) Run(sc Scenario) (*Report, error) {
 	if sc.Fleet.Instances <= 0 {
 		return nil, fmt.Errorf("scenarios: %s: fleet needs at least one instance", sc.Name)
 	}
+	if !sc.Fleet.Autoscale {
+		if err := sc.Faults.checkTargets(sc.Fleet.Instances); err != nil {
+			return nil, fmt.Errorf("scenarios: %s: %w", sc.Name, err)
+		}
+	}
 
 	// Workload: the open-loop trace plus, for sessions, the closed-loop
 	// follow-up hook. tenantOf tracks every offered request's tenant so

@@ -120,6 +120,33 @@ func (f *FaultSpec) plan() *faults.Plan {
 	return &faults.Plan{Crashes: f.Crashes, Brownouts: f.Brownouts, Stalls: f.Stalls}
 }
 
+// checkTargets rejects a fault aimed at an instance a fixed fleet of n
+// instances never has. Its IDs are 0..n-1, plus one cold replacement
+// per crash under ReplaceOnCrash. Run skips the check for autoscaled
+// fleets, whose IDs grow without bound.
+func (f *FaultSpec) checkTargets(n int) error {
+	if f == nil {
+		return nil
+	}
+	if f.Resilience.ReplaceOnCrash {
+		n += len(f.Crashes)
+	}
+	top := faults.AllInstances
+	for _, c := range f.Crashes {
+		top = max(top, c.Instance)
+	}
+	for _, b := range f.Brownouts {
+		top = max(top, b.Instance)
+	}
+	for _, s := range f.Stalls {
+		top = max(top, s.Instance)
+	}
+	if top >= n {
+		return fmt.Errorf("fault plan targets instance %d, but the fleet's instance IDs stop at %d", top, n-1)
+	}
+	return nil
+}
+
 // faulted reports whether the spec schedules any fault or enables any
 // resilience mechanism.
 func (f *FaultSpec) faulted() bool {

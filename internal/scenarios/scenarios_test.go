@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"finemoe/internal/cluster"
+	"finemoe/internal/faults"
 	"finemoe/internal/moe"
 	"finemoe/internal/workload"
 )
@@ -209,5 +211,44 @@ func TestRunValidation(t *testing.T) {
 		if _, err := r.Run(sc); err == nil {
 			t.Errorf("scenario %s did not error", sc.Name)
 		}
+	}
+}
+
+// TestRunRejectsUnreachableFaultTargets: on a fixed fleet, a fault aimed
+// at an instance the fleet never has is an error rather than a silently
+// fault-free run. Crash replacements count toward the fleet under
+// ReplaceOnCrash, fleet-wide faults always pass, and autoscaled fleets
+// are not checked.
+func TestRunRejectsUnreachableFaultTargets(t *testing.T) {
+	run := func(f *FaultSpec, autoscale bool) error {
+		_, err := testRunner(1).Run(Scenario{
+			Name: "targets",
+			Workload: WorkloadSpec{
+				Dataset: testDataset(), Arrivals: workload.Poisson{RatePerSec: 10}, Requests: 8,
+			},
+			Fleet:  FleetSpec{Instances: 2, Autoscale: autoscale},
+			Faults: f,
+		})
+		return err
+	}
+	crash := func(id int) []faults.Crash { return []faults.Crash{{AtMS: 5, Instance: id}} }
+	brownout := func(id int) []faults.Brownout {
+		return []faults.Brownout{{AtMS: 5, DurationMS: 10, Link: faults.LinkPCIe, Factor: 0.5, Instance: id}}
+	}
+	if err := run(&FaultSpec{Crashes: crash(99)}, false); err == nil || !strings.Contains(err.Error(), "instance 99") {
+		t.Fatalf("crash on i99 of a 2-instance fleet: err %v, want one naming instance 99", err)
+	}
+	if err := run(&FaultSpec{Brownouts: brownout(2)}, false); err == nil {
+		t.Fatal("brownout on i2 of a 2-instance fleet accepted")
+	}
+	replace := cluster.ResilienceOptions{Enabled: true, RequeueOnCrash: true, ReplaceOnCrash: true}
+	if err := run(&FaultSpec{Crashes: crash(0), Brownouts: brownout(2), Resilience: replace}, false); err != nil {
+		t.Fatalf("i2 with ReplaceOnCrash and one crash: %v", err)
+	}
+	if err := run(&FaultSpec{Brownouts: brownout(faults.AllInstances)}, false); err != nil {
+		t.Fatalf("fleet-wide brownout: %v", err)
+	}
+	if err := run(&FaultSpec{Crashes: crash(99)}, true); err != nil {
+		t.Fatalf("autoscaled fleet: %v", err)
 	}
 }

@@ -732,9 +732,6 @@ func (e *Engine) QueueDepth() int { return len(e.pending) }
 // InFlight reports requests admitted and not yet completed.
 func (e *Engine) InFlight() int { return len(e.running) }
 
-// CompletedCount reports requests served so far.
-func (e *Engine) CompletedCount() int { return len(e.completed) }
-
 // Completed returns the metrics of every request served so far, in
 // completion order. The returned slice is shared; callers must not mutate.
 func (e *Engine) Completed() []RequestMetrics { return e.completed }
@@ -803,9 +800,6 @@ func (e *Engine) Finalize() *Result {
 // and Step/Drain no-op, leaving queued and in-flight requests stranded
 // until CrashHarvest collects them. Completed metrics are preserved.
 func (e *Engine) Crash() { e.crashed = true }
-
-// Crashed reports whether the engine has been halted by Crash.
-func (e *Engine) Crashed() bool { return e.crashed }
 
 // CrashHarvest removes and returns every stranded request — in-flight
 // requests in admission order, then queued requests in arrival order — so

@@ -24,23 +24,20 @@ func TestCrashHaltsEngine(t *testing.T) {
 		}
 	}
 	inFlight, queued := e.InFlight(), e.QueueDepth()
-	served := e.CompletedCount()
+	served := len(e.Completed())
 	if inFlight+queued == 0 {
 		t.Fatal("test needs stranded work; trace drained too fast")
 	}
 
 	e.Crash()
-	if !e.Crashed() {
-		t.Fatal("Crashed() false after Crash")
-	}
 	if got := e.NextEventTime(); !math.IsInf(got, 1) {
 		t.Fatalf("crashed NextEventTime %v, want +Inf", got)
 	}
 	if e.Step(math.Inf(1)) {
 		t.Fatal("crashed engine stepped")
 	}
-	if e.CompletedCount() != served {
-		t.Fatalf("completions changed after crash: %d -> %d", served, e.CompletedCount())
+	if len(e.Completed()) != served {
+		t.Fatalf("completions changed after crash: %d -> %d", served, len(e.Completed()))
 	}
 
 	harvest := e.CrashHarvest()
@@ -97,7 +94,7 @@ func TestCancelRemovesRequest(t *testing.T) {
 			t.Fatalf("cancelled request %d completed", rm.ID)
 		}
 	}
-	if e.CompletedCount() != len(trace)-2 {
-		t.Fatalf("completed %d, want %d", e.CompletedCount(), len(trace)-2)
+	if len(e.Completed()) != len(trace)-2 {
+		t.Fatalf("completed %d, want %d", len(e.Completed()), len(trace)-2)
 	}
 }

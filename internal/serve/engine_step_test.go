@@ -65,8 +65,8 @@ func TestStepAPIMatchesRunOnline(t *testing.T) {
 	if e.InFlight() != 0 || e.QueueDepth() != 0 {
 		t.Fatalf("not drained: %d in flight, %d queued", e.InFlight(), e.QueueDepth())
 	}
-	if e.CompletedCount() != len(trace) {
-		t.Fatalf("completed %d, want %d", e.CompletedCount(), len(trace))
+	if len(e.Completed()) != len(trace) {
+		t.Fatalf("completed %d, want %d", len(e.Completed()), len(trace))
 	}
 	got := e.Finalize()
 
@@ -97,8 +97,8 @@ func TestStepRespectsUntil(t *testing.T) {
 		t.Fatalf("clock %v behind admitted arrival", e.Now())
 	}
 	e.Drain()
-	if e.CompletedCount() != 1 {
-		t.Fatalf("completed %d, want 1", e.CompletedCount())
+	if len(e.Completed()) != 1 {
+		t.Fatalf("completed %d, want 1", len(e.Completed()))
 	}
 }
 
