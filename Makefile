@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-short lint vet-lint fmt clusterbench faultfig
+.PHONY: build test test-short lint fmt clusterbench faultfig
 
 build:
 	$(GO) build ./...
@@ -12,15 +12,10 @@ test-short:
 	$(GO) test -short ./...
 
 # The repo's determinism/hot-path contract checker (internal/analysis);
-# see the "Determinism contract" section of ARCHITECTURE.md. -stats also
+# see the "Determinism contract" section of ARCHITECTURE.md. It also
 # inventories every //finemoe: directive and fails on stale suppressions.
 lint:
-	$(GO) run ./cmd/finemoe-lint -stats ./...
-
-# Same analyzers driven through cmd/go's vet cache (incremental re-runs).
-vet-lint:
-	$(GO) build -o $(CURDIR)/bin/finemoe-lint ./cmd/finemoe-lint
-	$(GO) vet -vettool=$(CURDIR)/bin/finemoe-lint ./...
+	$(GO) run ./cmd/finemoe-lint ./...
 
 fmt:
 	gofmt -w .

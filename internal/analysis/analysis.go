@@ -36,12 +36,9 @@ type Analyzer struct {
 	Name string
 	Doc  string
 	Run  func(*Pass) (any, error)
-	// FactTypes lists prototype values of every fact type the analyzer
-	// exports or imports; drivers register them for serialization.
-	FactTypes []Fact
 	// Directives lists the //finemoe:<name> suppression vocabulary the
 	// analyzer honors — the names whose annotations it can mark used.
-	// The -stats staleness sweep flags any suppression directive no
+	// The driver's staleness sweep flags any suppression directive no
 	// analyzer marked used.
 	Directives []string
 }
@@ -62,13 +59,12 @@ type Pass struct {
 	TypesInfo *types.Info
 	Report    func(Diagnostic)
 
-	// Facts is the cross-package fact store shared by the driver run;
-	// nil when the driver does not propagate facts.
+	// Facts is the cross-package fact store shared by the driver run.
 	Facts *FactStore
 
 	// Tracker records which //finemoe: directives exist and which ones
-	// actually suppressed something, so the -stats sweep can flag stale
-	// annotations. Nil disables tracking.
+	// actually suppressed something, so the staleness sweep can flag
+	// stale annotations.
 	Tracker *DirectiveTracker
 
 	// directives caches the parsed //finemoe:* comments per file line.
@@ -184,7 +180,7 @@ func (p *Pass) Allowed(name string, node ast.Node) bool {
 // marking it used: analyzers that read declaration-level annotations
 // (callalloc's allocok functions) peek first and call MarkUsed only once
 // the annotation demonstrably suppresses something, so annotations that
-// no longer do any work surface as stale in -stats. An empty reason is
+// no longer do any work surface as stale. An empty reason is
 // reported immediately, as with Allowed.
 func (p *Pass) DirectiveOn(name string, node ast.Node) (reason string, pos token.Pos, found bool) {
 	if p.directives == nil {
@@ -246,7 +242,7 @@ type DirectiveInfo struct {
 }
 
 // A DirectiveTracker aggregates every directive seen across a driver
-// run. All methods are nil-safe so passes can run without tracking.
+// run.
 type DirectiveTracker struct {
 	byPos map[token.Position]*DirectiveInfo
 }
@@ -257,9 +253,6 @@ func NewDirectiveTracker() *DirectiveTracker {
 }
 
 func (t *DirectiveTracker) see(pkg string, pos token.Position, name, reason string) {
-	if t == nil {
-		return
-	}
 	if _, ok := t.byPos[pos]; ok {
 		return
 	}
@@ -270,9 +263,6 @@ func (t *DirectiveTracker) see(pkg string, pos token.Position, name, reason stri
 }
 
 func (t *DirectiveTracker) use(pos token.Position) {
-	if t == nil {
-		return
-	}
 	if d, ok := t.byPos[pos]; ok {
 		d.Used = true
 	}
@@ -280,9 +270,6 @@ func (t *DirectiveTracker) use(pos token.Position) {
 
 // All returns every directive seen, sorted by file, line, column.
 func (t *DirectiveTracker) All() []DirectiveInfo {
-	if t == nil {
-		return nil
-	}
 	out := make([]DirectiveInfo, 0, len(t.byPos))
 	for _, d := range t.byPos {
 		out = append(out, *d)

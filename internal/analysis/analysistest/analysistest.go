@@ -13,8 +13,8 @@
 //
 // Every run analyzes the requested packages AND their fixture-local
 // dependencies, in dependency order, with one shared fact store — the
-// same discipline the standalone driver and the vet unitchecker follow —
-// so a fixture package a importing a fixture package b observes b's
+// same discipline as the finemoe-lint driver (checker.RunPackages) — so
+// a fixture package a importing a fixture package b observes b's
 // exported object facts. Want comments are only checked in the packages
 // named by the call; dependencies are analyzed for their facts.
 package analysistest
@@ -48,14 +48,7 @@ func Run(t *testing.T, testdataDir string, a *analysis.Analyzer, pkgPaths ...str
 	run(t, testdataDir, []*analysis.Analyzer{a}, false, pkgPaths)
 }
 
-// RunAnalyzers is the multi-analyzer form of Run: the analyzers share
-// one pass order and one fact store, as under the real drivers.
-func RunAnalyzers(t *testing.T, testdataDir string, analyzers []*analysis.Analyzer, pkgPaths ...string) {
-	t.Helper()
-	run(t, testdataDir, analyzers, false, pkgPaths)
-}
-
-// RunStale additionally runs the -stats staleness sweep after the
+// RunStale additionally runs the driver's staleness sweep after the
 // analyzers finish: suppression directives no analyzer marked used, and
 // directives outside the analyzers' vocabulary, become stale-directive
 // findings matched against want comments like any other diagnostic.
@@ -81,11 +74,6 @@ func run(t *testing.T, testdataDir string, analyzers []*analysis.Analyzer, stale
 		std:    map[string]string{},
 	}
 	ld.imp = importer.ForCompiler(ld.fset, "gc", ld.lookupStd)
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			analysis.RegisterFactType(f)
-		}
-	}
 	for _, path := range pkgPaths {
 		if _, err := ld.load(path); err != nil {
 			t.Fatalf("loading fixture %s: %v", path, err)
@@ -94,12 +82,12 @@ func run(t *testing.T, testdataDir string, analyzers []*analysis.Analyzer, stale
 
 	// Analyze every loaded package — dependencies included — in
 	// dependency order over a shared store, so facts flow exactly as they
-	// do under the standalone driver and the vet unitchecker.
+	// do under the driver.
 	store := analysis.NewFactStore()
 	tracker := analysis.NewDirectiveTracker()
 	found := map[string][]finding{}
 	for _, pkg := range ld.order {
-		diags, err := checker.AnalyzeWith(&analysis.Package{
+		diags, err := checker.Analyze(&analysis.Package{
 			ImportPath: pkg.path,
 			Fset:       pkg.fset,
 			Files:      pkg.files,

@@ -21,9 +21,9 @@
 //     functions export no allocation fact, so callers stay clean.
 //   - Cross-package propagation uses object facts (AllocFact): analyzing
 //     a package exports one fact per function whose call transitively
-//     allocates; importing packages merge those at import. Both the
-//     standalone driver and the go vet unitchecker protocol propagate
-//     them (the .vetx fact files cmd/go keys on export data).
+//     allocates; importing packages merge those at import. The driver
+//     analyzes packages in dependency order over one shared fact store,
+//     so a callee's facts always exist before its callers are analyzed.
 //   - Interface method calls resolve conservatively over every in-module
 //     implementer visible in the import closure of the analyzed package:
 //     if any implementer's method allocates, the call site is flagged
@@ -72,7 +72,6 @@ var Analyzer = &analysis.Analyzer{
 	Name:       "callalloc",
 	Doc:        "proves //finemoe:hotpath functions and everything they call allocation-free",
 	Run:        run,
-	FactTypes:  []analysis.Fact{new(AllocFact)},
 	Directives: []string{Directive},
 }
 

@@ -1,14 +1,13 @@
 // Package checker is the multichecker driver behind cmd/finemoe-lint: it
 // loads the requested packages once (offline, through the build cache's
 // export data) and runs every registered analyzer over each in dependency
-// order, propagating cross-package facts, printing file:line:col-sorted
-// diagnostics, and — in stats mode — inventorying every //finemoe:
-// directive and flagging the stale ones.
+// order, propagating cross-package facts, sorting diagnostics by
+// file:line:col, and inventorying every //finemoe: directive and flagging
+// the stale ones.
 package checker
 
 import (
 	"fmt"
-	"io"
 	"sort"
 
 	"finemoe/internal/analysis"
@@ -32,7 +31,7 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 }
 
-// A DirectiveCount is one row of the -stats inventory.
+// A DirectiveCount is one row of the directive inventory.
 type DirectiveCount struct {
 	Name  string `json:"name"`
 	Count int    `json:"count"`
@@ -47,27 +46,19 @@ type Report struct {
 }
 
 // RunPackages loads patterns relative to dir and applies the analyzers
-// in dependency order with a shared fact store. With stats, every
-// //finemoe: directive is tracked and suppressions that never fired are
-// appended as StaleAnalyzer findings, plus a per-name inventory.
-func RunPackages(dir string, patterns []string, analyzers []*analysis.Analyzer, stats bool) (*Report, error) {
+// in dependency order with a shared fact store. Every //finemoe:
+// directive is tracked: suppressions that never fired are appended as
+// StaleAnalyzer findings, and the report carries a per-name inventory.
+func RunPackages(dir string, patterns []string, analyzers []*analysis.Analyzer) (*Report, error) {
 	pkgs, err := analysis.Load(dir, patterns...)
 	if err != nil {
 		return nil, err
 	}
-	for _, a := range analyzers {
-		for _, f := range a.FactTypes {
-			analysis.RegisterFactType(f)
-		}
-	}
 	store := analysis.NewFactStore()
-	var tracker *analysis.DirectiveTracker
-	if stats {
-		tracker = analysis.NewDirectiveTracker()
-	}
+	tracker := analysis.NewDirectiveTracker()
 	rep := &Report{}
 	for _, pkg := range pkgs {
-		diags, err := AnalyzeWith(pkg, analyzers, store, tracker)
+		diags, err := Analyze(pkg, analyzers, store, tracker)
 		if err != nil {
 			return nil, err
 		}
@@ -79,34 +70,32 @@ func RunPackages(dir string, patterns []string, analyzers []*analysis.Analyzer, 
 			})
 		}
 	}
-	if stats {
-		vocab := Vocab(analyzers)
-		staleAt := map[string]bool{}
-		for _, d := range tracker.Stale(vocab) {
-			rep.Findings = append(rep.Findings, Finding{
-				File: d.File, Line: d.Line, Col: d.Col,
-				Analyzer: StaleAnalyzer, Message: StaleMessage(d, vocab),
-			})
-			staleAt[fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)] = true
-		}
-		rep.Directives = tracker.All()
-		counts := map[string]*DirectiveCount{}
-		for _, d := range rep.Directives {
-			c := counts[d.Name]
-			if c == nil {
-				c = &DirectiveCount{Name: d.Name}
-				counts[d.Name] = c
-			}
-			c.Count++
-			if staleAt[fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)] {
-				c.Stale++
-			}
-		}
-		for _, c := range counts {
-			rep.Inventory = append(rep.Inventory, *c)
-		}
-		sort.Slice(rep.Inventory, func(i, j int) bool { return rep.Inventory[i].Name < rep.Inventory[j].Name })
+	vocab := Vocab(analyzers)
+	staleAt := map[string]bool{}
+	for _, d := range tracker.Stale(vocab) {
+		rep.Findings = append(rep.Findings, Finding{
+			File: d.File, Line: d.Line, Col: d.Col,
+			Analyzer: StaleAnalyzer, Message: StaleMessage(d, vocab),
+		})
+		staleAt[fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)] = true
 	}
+	rep.Directives = tracker.All()
+	counts := map[string]*DirectiveCount{}
+	for _, d := range rep.Directives {
+		c := counts[d.Name]
+		if c == nil {
+			c = &DirectiveCount{Name: d.Name}
+			counts[d.Name] = c
+		}
+		c.Count++
+		if staleAt[fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)] {
+			c.Stale++
+		}
+	}
+	for _, c := range counts {
+		rep.Inventory = append(rep.Inventory, *c)
+	}
+	sort.Slice(rep.Inventory, func(i, j int) bool { return rep.Inventory[i].Name < rep.Inventory[j].Name })
 	sort.SliceStable(rep.Findings, func(i, j int) bool {
 		a, b := rep.Findings[i], rep.Findings[j]
 		if a.File != b.File {
@@ -137,7 +126,7 @@ func Vocab(analyzers []*analysis.Analyzer) map[string]bool {
 }
 
 // StaleMessage renders the diagnostic text for one stale or
-// out-of-vocabulary directive (shared by the drivers and by
+// out-of-vocabulary directive (shared by RunPackages and by
 // analysistest's staleness mode, so fixtures pin the real wording).
 func StaleMessage(d analysis.DirectiveInfo, vocab map[string]bool) string {
 	if !vocab[d.Name] && !analysis.Markers[d.Name] {
@@ -146,29 +135,10 @@ func StaleMessage(d analysis.DirectiveInfo, vocab map[string]bool) string {
 	return fmt.Sprintf("//finemoe:%s is stale: no %s diagnostic fires here anymore; remove it", d.Name, d.Name)
 }
 
-// Run loads patterns relative to dir, applies analyzers, and writes
-// diagnostics to w. It returns the number of diagnostics.
-func Run(w io.Writer, dir string, patterns []string, analyzers []*analysis.Analyzer) (int, error) {
-	rep, err := RunPackages(dir, patterns, analyzers, false)
-	if err != nil {
-		return 0, err
-	}
-	for _, f := range rep.Findings {
-		fmt.Fprintln(w, f)
-	}
-	return len(rep.Findings), nil
-}
-
-// Analyze runs the analyzers over one loaded package without fact
-// propagation and returns sorted diagnostics.
-func Analyze(pkg *analysis.Package, analyzers []*analysis.Analyzer) ([]analysis.Diagnostic, error) {
-	return AnalyzeWith(pkg, analyzers, nil, nil)
-}
-
-// AnalyzeWith runs the analyzers over one loaded package, importing and
-// exporting facts through store (nil disables) and recording directive
-// usage in tracker (nil disables), returning sorted diagnostics.
-func AnalyzeWith(pkg *analysis.Package, analyzers []*analysis.Analyzer, store *analysis.FactStore, tracker *analysis.DirectiveTracker) ([]analysis.Diagnostic, error) {
+// Analyze runs the analyzers over one loaded package, importing and
+// exporting facts through store and recording directive usage in
+// tracker, and returns sorted diagnostics.
+func Analyze(pkg *analysis.Package, analyzers []*analysis.Analyzer, store *analysis.FactStore, tracker *analysis.DirectiveTracker) ([]analysis.Diagnostic, error) {
 	var diags []analysis.Diagnostic
 	for _, a := range analyzers {
 		pass := &analysis.Pass{

@@ -18,7 +18,7 @@ const moduleRoot = "../../.."
 // super-linear regression in the fixpoint or fact layers.
 const lintWallBudget = 60 * time.Second
 
-// TestRepoLintClean pins `finemoe-lint -stats ./...` clean: zero
+// TestRepoLintClean pins `finemoe-lint ./...` clean: zero
 // findings and zero stale directives over the whole module, in-process
 // through the same driver entry point the CLI uses. A change that
 // introduces a hot-path allocation, an unordered reduction, or a dead
@@ -28,7 +28,7 @@ func TestRepoLintClean(t *testing.T) {
 		t.Skip("whole-module load in -short mode")
 	}
 	start := time.Now()
-	rep, err := checker.RunPackages(moduleRoot, []string{"./..."}, suite.All, true)
+	rep, err := checker.RunPackages(moduleRoot, []string{"./..."}, suite.All)
 	if err != nil {
 		t.Fatalf("running the analyzer suite: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestRepoLintClean(t *testing.T) {
 // touching the analyzers or the fact layer.
 func BenchmarkRepoLint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := checker.RunPackages(moduleRoot, []string{"./..."}, suite.All, true)
+		rep, err := checker.RunPackages(moduleRoot, []string{"./..."}, suite.All)
 		if err != nil {
 			b.Fatalf("running the analyzer suite: %v", err)
 		}

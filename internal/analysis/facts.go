@@ -1,26 +1,20 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // A Fact is a unit of analyzer knowledge attached to a package-level
-// object (function, method, type, var) or to a whole package, exported
-// by the pass that analyzes the defining package and imported by passes
+// object (function, method, type, var), exported by the pass that analyzes the defining package and imported by passes
 // over packages that depend on it. Facts are the cross-package layer
 // that turns the per-function analyzers into whole-program ones:
 // callalloc exports "this function allocates (and here is the chain)",
 // puritycheck exports "this function writes package-level state".
 //
-// Concrete fact types must be gob-serializable structs, registered once
-// via RegisterFactType (drivers register every Analyzer.FactTypes entry)
-// so the wire form used by the go vet unitchecker protocol — one fact
-// file per package, merged at import — round-trips them by name.
+// Concrete fact types are pointers to structs: importing a fact copies
+// the exported struct into the importer's own value.
 type Fact interface{ AFact() }
 
 // ModulePath is the repo's module path; facts are only computed for (and
@@ -34,18 +28,6 @@ func InModule(path string) bool {
 		path[:len(ModulePath)] == ModulePath && path[len(ModulePath)] == '/'
 }
 
-var factTypes = map[string]reflect.Type{}
-
-// RegisterFactType makes a concrete fact type decodable by name.
-// Idempotent; the name is the type's package-qualified string.
-func RegisterFactType(f Fact) {
-	t := reflect.TypeOf(f)
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	factTypes[t.String()] = t
-}
-
 func factTypeName(f Fact) string {
 	t := reflect.TypeOf(f)
 	for t.Kind() == reflect.Pointer {
@@ -55,7 +37,7 @@ func factTypeName(f Fact) string {
 }
 
 // factKey addresses one fact: the exporting analyzer, the defining
-// package, the object within it ("" for package facts), and the fact's
+// package, the object within it, and the fact's
 // concrete type (an analyzer may export several kinds).
 type factKey struct {
 	Analyzer string
@@ -64,12 +46,9 @@ type factKey struct {
 	Type     string
 }
 
-// A FactStore holds every fact visible to the current driver run. The
-// standalone driver shares one store across the whole module (packages
-// are analyzed in dependency order, so exporters always run before
-// importers); the vet driver seeds a fresh store from the dependency
-// fact files cmd/go hands it and serializes the merged store back out
-// for dependents.
+// A FactStore holds every fact of one driver run. The driver shares one
+// store across the whole module and analyzes packages in dependency
+// order, so exporters always run before importers.
 type FactStore struct {
 	facts map[factKey]Fact
 }
@@ -117,9 +96,6 @@ func (s *FactStore) export(analyzer, pkg, object string, f Fact) {
 // lookup copies a stored fact into ptr (a pointer to the concrete fact
 // type) and reports whether one was found.
 func (s *FactStore) lookup(analyzer, pkg, object string, ptr Fact) bool {
-	if s == nil {
-		return false
-	}
 	f, ok := s.facts[factKey{analyzer, pkg, object, factTypeName(ptr)}]
 	if !ok {
 		return false
@@ -133,83 +109,10 @@ func (s *FactStore) lookup(analyzer, pkg, object string, ptr Fact) bool {
 	return true
 }
 
-// wireFact is the serialized form of one fact.
-type wireFact struct {
-	Analyzer string
-	Pkg      string
-	Object   string
-	Type     string
-	Data     []byte
-}
-
-// Encode serializes the whole store deterministically (sorted by key),
-// so fact files keyed on content are byte-stable across runs.
-func (s *FactStore) Encode() ([]byte, error) {
-	keys := make([]factKey, 0, len(s.facts))
-	for k := range s.facts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		return a.Type < b.Type
-	})
-	wire := make([]wireFact, 0, len(keys))
-	for _, k := range keys {
-		var payload bytes.Buffer
-		if err := gob.NewEncoder(&payload).EncodeValue(reflect.ValueOf(s.facts[k]).Elem()); err != nil {
-			return nil, fmt.Errorf("encoding fact %v: %v", k, err)
-		}
-		wire = append(wire, wireFact{k.Analyzer, k.Pkg, k.Object, k.Type, payload.Bytes()})
-	}
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(wire); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
-}
-
-// Decode merges a serialized fact file into the store. Empty input is a
-// valid empty fact set (the placeholder .vetx files older finemoe-lint
-// builds wrote). Facts whose type was never registered are skipped —
-// they belong to an analyzer not loaded in this driver.
-func (s *FactStore) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var wire []wireFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&wire); err != nil {
-		return fmt.Errorf("decoding fact file: %v", err)
-	}
-	for _, w := range wire {
-		t, ok := factTypes[w.Type]
-		if !ok {
-			continue
-		}
-		ptr := reflect.New(t)
-		if err := gob.NewDecoder(bytes.NewReader(w.Data)).DecodeValue(ptr.Elem()); err != nil {
-			return fmt.Errorf("decoding fact %s/%s.%s: %v", w.Analyzer, w.Pkg, w.Object, err)
-		}
-		s.facts[factKey{w.Analyzer, w.Pkg, w.Object, w.Type}] = ptr.Interface().(Fact)
-	}
-	return nil
-}
-
 // ExportObjectFact attaches a fact to a package-level object of the
 // package under analysis. Facts on objects outside the current package
 // are a driver error (the exporter is the defining package's pass).
 func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
-	if p.Facts == nil {
-		return
-	}
 	key, ok := ObjectKey(obj)
 	if !ok {
 		panic(fmt.Sprintf("ExportObjectFact: unsupported object %v", obj))
@@ -221,28 +124,9 @@ func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
 // from any already-analyzed package) into ptr, reporting whether one
 // exists.
 func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
-	if p.Facts == nil || obj == nil || obj.Pkg() == nil {
-		return false
-	}
 	key, ok := ObjectKey(obj)
 	if !ok {
 		return false
 	}
 	return p.Facts.lookup(p.Analyzer.Name, obj.Pkg().Path(), key, ptr)
-}
-
-// ExportPackageFact attaches a fact to the package under analysis.
-func (p *Pass) ExportPackageFact(f Fact) {
-	if p.Facts == nil {
-		return
-	}
-	p.Facts.export(p.Analyzer.Name, p.Pkg.Path(), "", f)
-}
-
-// ImportPackageFact copies the package-level fact of pkg into ptr.
-func (p *Pass) ImportPackageFact(pkg *types.Package, ptr Fact) bool {
-	if p.Facts == nil || pkg == nil {
-		return false
-	}
-	return p.Facts.lookup(p.Analyzer.Name, pkg.Path(), "", ptr)
 }

@@ -18,7 +18,6 @@ import (
 // A Package is one loaded, type-checked package ready for analysis.
 type Package struct {
 	ImportPath string
-	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
 	Types      *types.Package
@@ -117,7 +116,6 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 		pkgs = append(pkgs, &Package{
 			ImportPath: p.ImportPath,
-			Dir:        p.Dir,
 			Fset:       fset,
 			Files:      files,
 			Types:      tpkg,

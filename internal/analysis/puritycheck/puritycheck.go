@@ -68,7 +68,6 @@ var Analyzer = &analysis.Analyzer{
 	Name:       "puritycheck",
 	Doc:        "policy implementations (Scorer/Router/Autoscaler/Admission) must not write globals or mutate arguments",
 	Run:        run,
-	FactTypes:  []analysis.Fact{new(GlobalWriteFact)},
 	Directives: []string{Directive},
 }
 

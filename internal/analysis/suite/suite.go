@@ -1,7 +1,7 @@
 // Package suite is the one list of every finemoe-lint analyzer, shared
-// by the cmd/finemoe-lint drivers (standalone and vet-tool) and the
-// repo-clean regression test, so a newly added analyzer cannot be wired
-// into one consumer and forgotten in another.
+// by cmd/finemoe-lint and the repo-clean regression test, so a newly
+// added analyzer cannot be wired into one consumer and forgotten in
+// another.
 package suite
 
 import (

@@ -471,7 +471,8 @@ func (m *MoEInfinity) OnGate(layer int, views []policy.LayerView, now float64) f
 	return delay
 }
 
-// EndRequest publishes the finished request's matrix to the collection.
+// EndRequest publishes the request's matrix to the collection: complete
+// for a finished request, partial for one the engine dropped mid-batch.
 func (m *MoEInfinity) EndRequest(reqID uint64, _ float64) {
 	m.mu.Lock()
 	partial := m.reqs[reqID]

@@ -378,11 +378,8 @@ func NewSet(cfg moe.Config, n int, totalBytes int64, scorer Scorer) *Set {
 	return s
 }
 
-// gpuFor mirrors the cluster's round-robin placement.
-func (s *Set) gpuFor(ref moe.ExpertRef) int { return s.cfg.RefID(ref) % s.n }
-
 // For returns the device cache owning ref.
-func (s *Set) For(ref moe.ExpertRef) *Cache { return s.caches[s.gpuFor(ref)] }
+func (s *Set) For(ref moe.ExpertRef) *Cache { return s.caches[s.cfg.OwnerGPU(ref, s.n)] }
 
 // Device returns device i's cache.
 func (s *Set) Device(i int) *Cache { return s.caches[i] }

@@ -8,8 +8,7 @@
 // loop merges with arrivals, autoscale ticks and instance events. The
 // compile order is a pure function of the plan (specs expand in slice
 // order, events sort stably by time), so two runs of the same plan
-// produce byte-identical fault streams; generators derive schedules from
-// an explicit seed via internal/rng, never from wall-clock entropy.
+// produce byte-identical fault streams.
 //
 // Tie-breaks are pinned end to end: among fault events at the same
 // instant, compile (sequence) order wins; against the rest of the loop,
@@ -21,9 +20,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
-
-	"finemoe/internal/rng"
 )
 
 // LinkClass selects which of an instance's transfer links a brownout or
@@ -265,25 +261,4 @@ func (e Event) String() string {
 		return fmt.Sprintf("%.1fms stall %s %s until %.1fms", e.TimeMS, target, e.Link, e.EndMS)
 	}
 	return fmt.Sprintf("%.1fms %s %s", e.TimeMS, e.Kind, target)
-}
-
-// RandomCrashes draws n crashes deterministically from seed: failure
-// times uniform over [0, horizonMS), targets uniform over instance IDs
-// [0, fleet), each with the given detection latency. The schedule is
-// sorted by failure time so the compiled stream reads chronologically.
-func RandomCrashes(seed uint64, n int, horizonMS float64, fleet int, detectMS float64) []Crash {
-	if n <= 0 || fleet <= 0 || horizonMS <= 0 {
-		return nil
-	}
-	r := rng.New(rng.Mix(seed, 0xFA17))
-	out := make([]Crash, n)
-	for i := range out {
-		out[i] = Crash{
-			AtMS:     math.Floor(r.Float64()*horizonMS*10) / 10,
-			Instance: r.Intn(fleet),
-			DetectMS: detectMS,
-		}
-	}
-	sort.SliceStable(out, func(a, b int) bool { return out[a].AtMS < out[b].AtMS })
-	return out
 }

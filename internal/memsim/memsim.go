@@ -377,9 +377,7 @@ func NewTieredCluster(spec GPUSpec, n int, cfg moe.Config, h Hierarchy) *Cluster
 func (c *Cluster) Hierarchy() Hierarchy { return c.hier }
 
 // GPUFor returns the device index owning an expert.
-func (c *Cluster) GPUFor(ref moe.ExpertRef) int {
-	return c.cfg.ExpertID(ref.Layer, ref.Expert) % c.N
-}
+func (c *Cluster) GPUFor(ref moe.ExpertRef) int { return c.cfg.OwnerGPU(ref, c.N) }
 
 // Link returns device i's host link.
 func (c *Cluster) Link(i int) *Link { return c.links[i] }

@@ -261,6 +261,12 @@ func (c *Config) ExpertID(layer, expert int) int { return layer*c.RoutedExperts 
 // RefID flattens an ExpertRef.
 func (c *Config) RefID(ref ExpertRef) int { return c.ExpertID(ref.Layer, ref.Expert) }
 
+// OwnerGPU returns the device that holds ref under round-robin expert
+// placement over gpus devices: its flattened ID mod the device count.
+// The per-device expert caches (cache.Set) and host links
+// (memsim.Cluster) both shard by this one rule.
+func (c *Config) OwnerGPU(ref ExpertRef, gpus int) int { return c.RefID(ref) % gpus }
+
 // ExpertLoc inverts ExpertID.
 func (c *Config) ExpertLoc(id int) (layer, expert int) {
 	return id / c.RoutedExperts, id % c.RoutedExperts

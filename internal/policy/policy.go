@@ -107,7 +107,10 @@ type Policy interface {
 	// EndIteration fires after the last layer with the request's full
 	// iteration record (the paper's Step 5 map update).
 	EndIteration(reqID uint64, it *moe.Iteration, now float64) float64
-	// EndRequest fires when a request completes.
+	// EndRequest fires exactly once for every request StartRequest saw:
+	// when it completes, or when the engine drops it mid-batch (a
+	// cancelled hedge or timeout copy, or a request harvested from a
+	// crashed engine).
 	EndRequest(reqID uint64, now float64)
 	// Scorer returns the cache-eviction scorer the policy pairs with.
 	Scorer() cache.Scorer

@@ -803,8 +803,9 @@ func (e *Engine) Crash() { e.crashed = true }
 
 // CrashHarvest removes and returns every stranded request — in-flight
 // requests in admission order, then queued requests in arrival order — so
-// the orchestrator can re-queue or account them as lost. Idempotent:
-// a second call returns nil.
+// the orchestrator can re-queue or account them as lost. In-flight
+// requests are retired as Cancel retires them. Idempotent: a second call
+// returns nil.
 func (e *Engine) CrashHarvest() []workload.Request {
 	n := len(e.running) + len(e.pending)
 	if n == 0 {
@@ -813,9 +814,11 @@ func (e *Engine) CrashHarvest() []workload.Request {
 	out := make([]workload.Request, 0, n)
 	for _, r := range e.running {
 		out = append(out, r.req)
+		e.retire(r, e.now)
 	}
 	for _, p := range e.pending {
 		out = append(out, p.req)
+		e.dropPending(p)
 	}
 	e.running = e.running[:0]
 	clear(e.pending)
@@ -825,23 +828,48 @@ func (e *Engine) CrashHarvest() []workload.Request {
 
 // Cancel removes the request with the given ID from the engine — whether
 // still queued or mid-batch — without recording completion metrics.
-// Orchestrators use it to retire the losing copies of hedged or retried
-// requests. Reports whether the request was found; a request that already
-// completed is not cancellable. Works on crashed engines.
+// A mid-batch request ends at the engine's clock (its policy's
+// EndRequest fires then), and engine-owned gate traces are recycled
+// either way. Orchestrators use it to retire the losing copies of hedged
+// or retried requests. Reports whether the request was found; a request
+// that already completed is not cancellable. Works on crashed engines.
 func (e *Engine) Cancel(id uint64) bool {
 	for i, r := range e.running {
 		if r.req.ID == id {
 			e.running = append(e.running[:i], e.running[i+1:]...)
+			e.retire(r, e.now)
 			return true
 		}
 	}
 	for i, p := range e.pending {
 		if p.req.ID == id {
-			e.removePending(i)
+			e.dropPending(e.removePending(i))
 			return true
 		}
 	}
 	return false
+}
+
+// retire ends an admitted request that has left e.running: the policy's
+// EndRequest fires at now, an engine-owned gate trace goes back to the
+// model's free list (nothing downstream retains it — see
+// Tracer.Recycle), and the runReq record to the engine's.
+// Caller-supplied traces stay untouched.
+func (e *Engine) retire(r *runReq, now float64) {
+	e.pol.EndRequest(r.req.ID, now)
+	if r.ownedTrace {
+		e.tracer.Recycle(r.iters)
+	}
+	*r = runReq{}
+	e.reqFree = append(e.reqFree, r)
+}
+
+// dropPending recycles the handed-off gate trace of a request that
+// leaves the queue without being admitted.
+func (e *Engine) dropPending(p pendingReq) {
+	if p.owned {
+		e.tracer.Recycle(p.iters)
+	}
 }
 
 // ScalePCIeLinks scales every per-GPU host link's bandwidth (brownout
@@ -961,7 +989,6 @@ func (e *Engine) finishIteration(batch []*runReq, end float64) {
 			if r.req.OutputTokens > 1 {
 				r.metrics.TPOTms = (end - r.metrics.FirstTokenMS) / float64(r.req.OutputTokens-1)
 			}
-			e.pol.EndRequest(r.req.ID, end)
 			e.completed = append(e.completed, r.metrics)
 			for i, rr := range e.running {
 				if rr == r {
@@ -969,15 +996,7 @@ func (e *Engine) finishIteration(batch []*runReq, end float64) {
 					break
 				}
 			}
-			// Recycle the request's bookkeeping: engine-owned gate traces
-			// go back to the model's free list (nothing downstream
-			// retains them — see Tracer.Recycle), the runReq record to
-			// the engine's. Caller-supplied traces stay untouched.
-			if r.ownedTrace {
-				e.tracer.Recycle(r.iters)
-			}
-			*r = runReq{}
-			e.reqFree = append(e.reqFree, r)
+			e.retire(r, end)
 		}
 	}
 }

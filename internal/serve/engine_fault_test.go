@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"finemoe/internal/moe"
+	"finemoe/internal/policy"
 )
 
 // TestCrashHaltsEngine: a crashed engine stops producing events and
@@ -96,5 +97,64 @@ func TestCancelRemovesRequest(t *testing.T) {
 	}
 	if len(e.Completed()) != len(trace)-2 {
 		t.Fatalf("completed %d, want %d", len(e.Completed()), len(trace)-2)
+	}
+}
+
+// lifecyclePolicy tracks which requests have policy state: StartRequest
+// opens it, EndRequest must close an open one.
+type lifecyclePolicy struct {
+	policy.Base
+	t            *testing.T
+	live         map[uint64]bool
+	starts, ends int
+}
+
+func (*lifecyclePolicy) Name() string { return "lifecycle" }
+
+func (p *lifecyclePolicy) StartRequest(id uint64, _ float64) float64 {
+	p.starts++
+	p.live[id] = true
+	return 0
+}
+
+func (p *lifecyclePolicy) EndRequest(id uint64, _ float64) {
+	if !p.live[id] {
+		p.t.Errorf("EndRequest(%d) without an open StartRequest", id)
+	}
+	delete(p.live, id)
+	p.ends++
+}
+
+// TestDroppedRequestsEndInPolicy: EndRequest fires once for every
+// request StartRequest saw, including a mid-batch request retired by
+// Cancel and a running batch taken by CrashHarvest, so a dropped hedge,
+// timeout or crash copy leaves no per-request policy state behind.
+func TestDroppedRequestsEndInPolicy(t *testing.T) {
+	m := moe.NewModel(moe.Tiny(), 3)
+	pol := &lifecyclePolicy{t: t, live: map[uint64]bool{}}
+	e := stepEngine(m, pol)
+	for _, q := range onlineTrace(m.Cfg, 8) {
+		q.ArrivalMS = 0 // all due at once, so the first step admits a full batch
+		e.Submit(q)
+	}
+	e.Step(e.NextEventTime())
+	if e.InFlight() < 2 {
+		t.Fatalf("in flight %d after the first step, want a batch of at least 2", e.InFlight())
+	}
+	if !e.Cancel(e.running[0].req.ID) {
+		t.Fatal("Cancel missed an in-flight request")
+	}
+	if len(pol.live) != e.InFlight() {
+		t.Fatalf("after Cancel: %d requests hold policy state, %d are in flight", len(pol.live), e.InFlight())
+	}
+
+	e.Step(e.NextEventTime())
+	if e.InFlight() == 0 {
+		t.Fatal("test needs a running batch at the crash")
+	}
+	e.Crash()
+	e.CrashHarvest()
+	if pol.starts != pol.ends || len(pol.live) != 0 {
+		t.Fatalf("after CrashHarvest: %d StartRequest, %d EndRequest, %d still open", pol.starts, pol.ends, len(pol.live))
 	}
 }
