@@ -56,7 +56,8 @@ func RunPackages(dir string, patterns []string, analyzers []*analysis.Analyzer) 
 	}
 	store := analysis.NewFactStore()
 	tracker := analysis.NewDirectiveTracker()
-	rep := &Report{}
+	// Findings is never nil, so a clean run's JSON reads "findings": [].
+	rep := &Report{Findings: []Finding{}}
 	for _, pkg := range pkgs {
 		diags, err := Analyze(pkg, analyzers, store, tracker)
 		if err != nil {

@@ -1,6 +1,8 @@
 package checker_test
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,6 +42,23 @@ func TestRepoLintClean(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > lintWallBudget {
 		t.Errorf("full-repo lint took %v, over the %v budget", elapsed, lintWallBudget)
+	}
+}
+
+// TestCleanReportJSON: a run with no findings reports an empty list,
+// not null, so `finemoe-lint -json` consumers can count findings
+// without special-casing a clean tree.
+func TestCleanReportJSON(t *testing.T) {
+	rep, err := checker.RunPackages(moduleRoot, []string{"./internal/raceflag"}, suite.All)
+	if err != nil {
+		t.Fatalf("running the analyzer suite: %v", err)
+	}
+	b, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatalf("encoding the report: %v", err)
+	}
+	if !strings.Contains(string(b), `"findings":[]`) {
+		t.Errorf("clean report encodes as %s, want \"findings\":[]", b)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"finemoe/internal/moe"
 	"finemoe/internal/raceflag"
+	"finemoe/internal/serve"
 	"finemoe/internal/workload"
 )
 
@@ -45,5 +46,37 @@ func TestRunStreamSteadyStateAllocs(t *testing.T) {
 	const budget = 3
 	if perReq > budget {
 		t.Errorf("streaming loop allocates %.1f objects per request, budget %d", perReq, budget)
+	}
+}
+
+// TestResilienceDispatchSteadyStateAllocs: once resolved and no longer
+// held by a queued timeout or hedge event, a request's resilience record
+// is recycled, so a steady-state dispatch allocates nothing.
+func TestResilienceDispatchSteadyStateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	m := moe.NewModel(moe.Tiny(), 11)
+	c := New(Options{
+		Engines:    testEngines(m, 2),
+		Resilience: ResilienceOptions{Enabled: true, TimeoutMS: 400, HedgeAfterMS: 250},
+	})
+	in := c.instances[0]
+	id := uint64(0)
+	dispatch := func() {
+		id++
+		q := req(id, c.now)
+		c.trackDispatch(q, in)
+		c.resolveCompletion(resEvent{k: rkComplete, instIdx: int32(in.ID), m: serve.RequestMetrics{ID: id}})
+		for len(c.resEvents) > 0 {
+			c.processResEvent(c.popResEvent())
+		}
+	}
+	dispatch()
+	if got := testing.AllocsPerRun(100, dispatch); got != 0 {
+		t.Errorf("a resolved dispatch allocates %.1f objects, want 0", got)
+	}
+	if len(c.records) != 0 || len(c.recFree) != 1 {
+		t.Errorf("%d records tracked and %d free after every dispatch resolved, want 0 and 1", len(c.records), len(c.recFree))
 	}
 }

@@ -194,12 +194,14 @@ type Cluster struct {
 	crashes     int
 
 	// Resilience state (resOn): request sagas keyed by copy ID (lookups
-	// and deletes only — never ranged), the pending reaction queue sorted
-	// by time in schedule order, per-tenant retry budgets, completions
-	// that lost a hedge/retry race, and the availability counters.
+	// and deletes only — never ranged) with a free list of resolved ones,
+	// the pending reaction queue sorted by time in schedule order,
+	// per-tenant retry budgets, completions that lost a hedge/retry race,
+	// and the availability counters.
 	resOn        bool
 	res          ResilienceOptions
 	records      map[uint64]*resRecord
+	recFree      []*resRecord
 	resEvents    []resEvent
 	budgets      map[string]*tenantBudget
 	stale        map[staleKey]bool
@@ -209,10 +211,12 @@ type Cluster struct {
 	lostInFlight int
 
 	// ahead is the gate-trace pipeline of the running RunStream (nil when
-	// off; see pipeline.go); handOffs counts the traces it handed to
-	// engines.
-	ahead    *tracePipeline
-	handOffs int
+	// off; see pipeline.go). handOffs counts the Source traces it handed
+	// to engines; feedJobs counts the admissions that took a job from its
+	// admission feed, and feedTraces those that got the helper's trace.
+	ahead                *tracePipeline
+	handOffs             int
+	feedJobs, feedTraces int
 
 	// statesBuf is the reusable backing array for activeStates: the
 	// routable-fleet snapshot is rebuilt on every offer and autoscale
@@ -413,7 +417,8 @@ func (c *Cluster) activeStates() []InstanceState {
 // otherwise). The trace goes to the routed engine only when that engine
 // serves the pipeline's model and has nothing queued, so the trace is
 // consumed at once instead of waiting in memory behind a backlog;
-// otherwise it is recycled and the engine traces at admission.
+// otherwise it is recycled, and the engine asks the pipeline's admission
+// feed for it once the request enters its next admission set.
 func (c *Cluster) offer(req workload.Request, its []*moe.Iteration) {
 	if t := req.ArrivalMS; t > c.now {
 		c.now = t
@@ -555,6 +560,9 @@ func (c *Cluster) spawn(t float64) *instance {
 	// Align the fresh engine's clock with the fleet so its requests are
 	// not timestamped in its pre-spawn past.
 	e.AdvanceClock(t)
+	if c.ahead != nil && e.Model() == c.ahead.model {
+		e.SetTraceQueue(c.ahead.jobs)
+	}
 	in := &instance{ID: id, Engine: e, StartedMS: t}
 	c.instances = append(c.instances, in)
 	c.evtPush(id)
@@ -620,8 +628,9 @@ func (c *Cluster) RunTrace(trace []workload.Request) *Result {
 //
 // When the runtime has more than one CPU and the whole fleet serves one
 // model, RunStream reads src on a helper goroutine, up to traceAhead
-// requests ahead, and simulates each request's gate trace there (see
-// pipeline.go). The helper has exited by the time RunStream returns.
+// requests ahead, and simulates each request's gate trace there; the
+// same helper traces each engine's next admission set (see pipeline.go).
+// The helper has exited by the time RunStream returns.
 func (c *Cluster) RunStream(src workload.Source) *Result {
 	c.run(src)
 	return c.finalize()
@@ -631,12 +640,17 @@ func (c *Cluster) RunStream(src workload.Source) *Result {
 // arrivals, injected follow-ups, autoscale ticks and instance events
 // until the source is exhausted, the injected queue is empty, and every
 // instance is drained. Every event is processed on this goroutine; the
-// gate-trace pipeline's helper only reads src ahead of it.
+// gate-trace pipeline's helper only reads src and simulates gate traces
+// ahead of it.
 func (c *Cluster) run(src workload.Source) {
 	if m := c.sharedModel(); m != nil {
 		c.ahead = startPipeline(m, src)
+		for _, in := range c.instances {
+			in.Engine.SetTraceQueue(c.ahead.jobs)
+		}
 		defer func() {
 			c.ahead.close()
+			c.feedJobs, c.feedTraces = c.ahead.jobs.Taken()
 			c.ahead = nil
 		}()
 	}
@@ -704,4 +718,8 @@ func (c *Cluster) run(src workload.Source) {
 		c.refreshEvent(which)
 		c.observeCompletions(c.instances[which])
 	}
+	// Every record is resolved and released; the free list only served
+	// the run's dispatches, so a finished cluster does not keep its peak
+	// record count live.
+	c.recFree = nil
 }

@@ -27,14 +27,18 @@ type tracedReq struct {
 }
 
 // tracePipeline runs the fleet's gate-trace simulation on one helper
-// goroutine, ahead of the shared-clock loop. A gate trace is a pure
-// function of (model, prompt), so which goroutine computes it, and when,
-// cannot change a byte of the run.
+// goroutine, ahead of the shared-clock loop. It has two feeds: the
+// Source lookahead, whose traces go to engines with empty queues, and
+// the engines' admission jobs, which trace each engine's next admission
+// set. A gate trace is a pure function of (model, prompt), so which
+// goroutine computes it, and when, cannot change a byte of the run.
 type tracePipeline struct {
 	model *moe.Model
 	// tr is the helper's tracer; the loop also recycles unused traces
 	// through it (Recycle is goroutine-safe).
-	tr   *moe.Tracer
+	tr *moe.Tracer
+	// jobs is the admission feed every engine of model asks.
+	jobs *moe.TraceQueue
 	ch   chan tracedReq
 	stop chan struct{}
 	done chan struct{}
@@ -62,6 +66,7 @@ func startPipeline(m *moe.Model, src workload.Source) *tracePipeline {
 	p := &tracePipeline{
 		model: m,
 		tr:    m.NewTracer(),
+		jobs:  m.NewTraceQueue(),
 		ch:    make(chan tracedReq, traceAhead-1),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -70,27 +75,61 @@ func startPipeline(m *moe.Model, src workload.Source) *tracePipeline {
 	return p
 }
 
-// fill is the helper goroutine: it reads and traces requests until src
-// is exhausted, Next panics, or the loop stops it. With the channel full
-// it holds one more traced request, so it is at most traceAhead requests
-// ahead of the loop's cursor.
+// fill is the helper goroutine. It serves admission jobs before its
+// Source lookahead: between jobs it reads and traces requests until src
+// is exhausted or Next panics, then serves jobs alone until the loop
+// stops it. With the channel full it holds one more traced request, so
+// it is at most traceAhead requests ahead of the loop's cursor.
 func (p *tracePipeline) fill(src workload.Source) {
 	defer close(p.done)
-	defer close(p.ch)
+	ch := p.ch // nil once src is done, which disables the send case
+	var t tracedReq
+	held := false
 	for {
-		t, ok := p.draw(src)
-		if !ok && t.fail == nil {
-			return
+		p.serveJobs()
+		if ch != nil && !held {
+			var ok bool
+			t, ok = p.draw(src)
+			held = ok || t.fail != nil
+			if !held {
+				close(ch)
+				ch = nil
+			}
+		}
+		var send chan tracedReq
+		if held {
+			send = ch
 		}
 		select {
-		case p.ch <- t:
+		case send <- t:
+			held = false
+			if t.fail != nil {
+				close(ch)
+				ch = nil
+			}
+		case <-p.jobs.Ready():
 		case <-p.stop:
 			return
 		}
-		if t.fail != nil {
-			return
-		}
 	}
+}
+
+// serveJobs traces queued admission jobs until none is left. A trace
+// that panics leaves its job empty, so the engine traces the request
+// again at admission and raises the panic there.
+func (p *tracePipeline) serveJobs() {
+	for j := p.jobs.Start(); j != nil; j = p.jobs.Start() {
+		p.jobs.Finish(j, p.traceJob(j.Spec()))
+	}
+}
+
+func (p *tracePipeline) traceJob(spec moe.PromptSpec) (its []*moe.Iteration) {
+	defer func() {
+		if recover() != nil {
+			its = nil
+		}
+	}()
+	return p.tr.Trace(spec, nil)
 }
 
 // draw reads and traces the next request.

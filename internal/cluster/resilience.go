@@ -97,7 +97,8 @@ type resCopy struct {
 }
 
 // resRecord tracks one request's resilience saga from first dispatch to
-// resolution.
+// resolution. Once resolved and held by no queued event, it goes back to
+// the cluster's free list (freeRecord) with its copies' capacity.
 type resRecord struct {
 	orig    workload.Request
 	copies  []resCopy
@@ -105,6 +106,9 @@ type resRecord struct {
 	hedged  bool
 	done    bool
 	failed  bool
+	// held counts the queued events that point at the record; timeout,
+	// hedge and retry events can outlive its resolution.
+	held int
 }
 
 // resEvent is one queued resilience reaction.
@@ -140,6 +144,9 @@ const hedgeBit = 1 << 63
 // scheduleRes queues ev, keeping the queue sorted by time with stable
 // insertion (equal times keep schedule order).
 func (c *Cluster) scheduleRes(ev resEvent) {
+	if ev.rec != nil {
+		ev.rec.held++
+	}
 	i := len(c.resEvents)
 	for i > 0 && c.resEvents[i-1].t > ev.t {
 		i--
@@ -195,7 +202,15 @@ func (c *Cluster) budgetAllows(b *tenantBudget) bool {
 // schedules its timeout and hedge deadlines. Called from offer with the
 // clock already clamped to the arrival.
 func (c *Cluster) trackDispatch(req workload.Request, in *instance) {
-	rec := &resRecord{orig: req}
+	var rec *resRecord
+	if n := len(c.recFree) - 1; n >= 0 {
+		rec = c.recFree[n]
+		c.recFree[n] = nil
+		c.recFree = c.recFree[:n]
+	} else {
+		rec = &resRecord{}
+	}
+	rec.orig = req
 	rec.copies = append(rec.copies, resCopy{id: req.ID, inst: in.ID, live: true})
 	c.records[req.ID] = rec
 	c.budgetFor(req.Tenant).offered++
@@ -266,6 +281,7 @@ func (c *Cluster) failRecord(rec *resRecord) {
 	rec.failed = true
 	c.failedReqs++
 	c.dropRecord(rec)
+	c.freeRecord(rec)
 }
 
 // dropRecord removes rec's ID lookups once resolved.
@@ -274,6 +290,16 @@ func (c *Cluster) dropRecord(rec *resRecord) {
 	if rec.hedged {
 		delete(c.records, rec.orig.ID|hedgeBit)
 	}
+}
+
+// freeRecord recycles rec once it is resolved and no queued event holds
+// it; the caller must not use rec afterwards.
+func (c *Cluster) freeRecord(rec *resRecord) {
+	if !rec.done || rec.held > 0 {
+		return
+	}
+	*rec = resRecord{copies: rec.copies[:0]}
+	c.recFree = append(c.recFree, rec)
 }
 
 // processResEvent applies one due resilience event.
@@ -287,6 +313,10 @@ func (c *Cluster) processResEvent(ev resEvent) {
 		c.applyRetry(ev)
 	case rkHedge:
 		c.applyHedge(ev)
+	}
+	if ev.rec != nil {
+		ev.rec.held--
+		c.freeRecord(ev.rec)
 	}
 }
 
@@ -325,6 +355,7 @@ func (c *Cluster) resolveCompletion(ev resEvent) {
 		}
 	}
 	c.dropRecord(rec)
+	defer c.freeRecord(rec)
 	if c.followUp != nil {
 		m := ev.m
 		m.ID = rec.orig.ID // hedge winners report under the original ID

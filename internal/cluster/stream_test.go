@@ -20,6 +20,10 @@ type streamVariant struct {
 	cluster func() *Cluster
 	trace   func() []workload.Request
 	source  func() workload.Source
+	// queues marks a fleet whose follow-ups wait in engine queues, so
+	// with the pipeline on some admissions take jobs from its admission
+	// feed.
+	queues bool
 }
 
 func streamDataset(seed uint64) workload.Dataset {
@@ -92,6 +96,7 @@ func streamVariants() []streamVariant {
 			source: func() workload.Source {
 				return mkSess().StreamInitial(workload.BurstyMMPP(60), 24, 0)
 			},
+			queues: true,
 		}
 	}
 	out = append(out, sessVariant("sessions", 3, false))
@@ -219,7 +224,10 @@ func runStreamBytes(t *testing.T, c *Cluster, run func(c *Cluster) *Result) []by
 // byte-identical to RunTrace over the materialized trace. The reference
 // run is made under GOMAXPROCS(1), where the gate-trace pipeline is off,
 // so with -cpu above 1 every other run checks the pipeline against
-// tracing at admission.
+// tracing at admission. On the session fleets ("sessions", "combo")
+// queued admissions take jobs from the pipeline's admission feed; how
+// many of those the helper traced first depends on thread scheduling, so
+// TestTracePipelineAdmissionFeed, on a busier fleet, pins that it does.
 func TestRunStreamByteParity(t *testing.T) {
 	for _, v := range streamVariants() {
 		t.Run(v.name, func(t *testing.T) {
@@ -229,19 +237,28 @@ func TestRunStreamByteParity(t *testing.T) {
 					return c.RunTrace(v.trace())
 				})
 			}()
-			materialized := runStreamBytes(t, v.cluster(), func(c *Cluster) *Result {
+			fed := func(c *Cluster) {
+				if v.queues && runtime.GOMAXPROCS(0) > 1 && c.feedJobs == 0 {
+					t.Errorf("no queued admission took a job from the admission feed at GOMAXPROCS=%d", runtime.GOMAXPROCS(0))
+				}
+			}
+			c := v.cluster()
+			materialized := runStreamBytes(t, c, func(c *Cluster) *Result {
 				return c.RunTrace(v.trace())
 			})
 			if string(materialized) != string(ref) {
 				t.Fatalf("materialized run at GOMAXPROCS=%d diverges from GOMAXPROCS=1 (%d vs %d bytes)",
 					runtime.GOMAXPROCS(0), len(materialized), len(ref))
 			}
-			got := runStreamBytes(t, v.cluster(), func(c *Cluster) *Result {
+			fed(c)
+			c = v.cluster()
+			got := runStreamBytes(t, c, func(c *Cluster) *Result {
 				return c.RunStream(v.source())
 			})
 			if string(got) != string(ref) {
 				t.Fatalf("streaming run diverges from materialized run (%d vs %d bytes)", len(got), len(ref))
 			}
+			fed(c)
 		})
 	}
 }
@@ -297,6 +314,43 @@ func TestTracePipelineEngages(t *testing.T) {
 	}
 }
 
+// TestTracePipelineAdmissionFeed pins when the pipeline's admission
+// feed runs: on a multi-CPU runtime over a one-model session fleet whose
+// engines queue follow-ups, some admissions take traces the helper made
+// for their engine's next admission set; on one CPU or a mixed-model
+// fleet none do.
+func TestTracePipelineAdmissionFeed(t *testing.T) {
+	run := func(procs int, mixed bool) (fed, served int) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		a, b := moe.NewModel(moe.Tiny(), 7), moe.NewModel(moe.Tiny(), 7)
+		if !mixed {
+			b = a
+		}
+		sess := workload.NewSessions(streamDataset(12), moe.Tiny().SemDim,
+			workload.SessionConfig{MeanTurns: 3, ThinkTimeS: 0.02, Drift: 0.03}, 3)
+		c := New(Options{
+			Engines: append(testEngines(a, 2), testEngines(b, 2)...),
+			Router:  NewLeastLoaded(),
+			FollowUp: func(done serve.RequestMetrics, orig workload.Request) (workload.Request, bool) {
+				return sess.FollowUp(orig, done.EndMS)
+			},
+		})
+		res := c.RunStream(sess.StreamInitial(workload.BurstyMMPP(600), 120, 0))
+		return c.feedTraces, res.Served
+	}
+	f, n := run(2, false)
+	t.Logf("GOMAXPROCS=2: %d of %d admissions took an admission-feed trace", f, n)
+	if f == 0 || f >= n {
+		t.Errorf("GOMAXPROCS=2, one model: %d of %d admissions took an admission-feed trace, want some but not all", f, n)
+	}
+	if f, _ := run(1, false); f != 0 {
+		t.Errorf("GOMAXPROCS=1: %d admissions took an admission-feed trace, want the pipeline off", f)
+	}
+	if f, _ := run(2, true); f != 0 {
+		t.Errorf("mixed-model fleet: %d admissions took an admission-feed trace, want the pipeline off", f)
+	}
+}
+
 // panicSource yields its requests, then panics.
 type panicSource struct{ reqs []workload.Request }
 
@@ -329,5 +383,28 @@ func TestTracePipelinePanicsOnCaller(t *testing.T) {
 	bad[12].Embedding = bad[12].Embedding[:3]
 	if v, ok := recovered(workload.NewSliceSource(bad)).(string); !ok || !strings.Contains(v, "embedding dim") {
 		t.Errorf("invalid request: recovered %v", v)
+	}
+
+	// The same request as an admission job: the helper survives its
+	// panicking trace and leaves the job empty, so the engine traces the
+	// request again at admission and the panic surfaces there.
+	p := &tracePipeline{tr: m.NewTracer(), jobs: m.NewTraceQueue()}
+	e := testEngines(m, 1)[0]
+	e.SetTraceQueue(p.jobs)
+	e.Submit(bad[12])
+	p.serveJobs()
+	if j := p.jobs.Start(); j != nil {
+		t.Fatal("serveJobs left the job queued")
+	}
+	v := func() (v any) {
+		defer func() { v = recover() }()
+		e.Drain()
+		return nil
+	}()
+	if s, ok := v.(string); !ok || !strings.Contains(s, "embedding dim") {
+		t.Errorf("invalid request traced as an admission job: recovered %v", v)
+	}
+	if jobs, traced := p.jobs.Taken(); jobs != 1 || traced != 0 {
+		t.Errorf("admission took %d jobs, %d of them traced, want 1 and 0", jobs, traced)
 	}
 }

@@ -73,6 +73,16 @@ func (f *iterFree) take(dst []*Iteration, n int) []*Iteration {
 	return dst
 }
 
+// put returns its, and the slice that held them, to the list.
+func (f *iterFree) put(its []*Iteration) {
+	f.mu.Lock()
+	f.its = append(f.its, its...)
+	if cap(its) > 0 {
+		f.slices = append(f.slices, its[:0])
+	}
+	f.mu.Unlock()
+}
+
 // NewModel builds the simulated gate network for cfg. The same (cfg.Name,
 // seed) pair always yields an identical model.
 func NewModel(cfg Config, seed uint64) *Model {
@@ -541,12 +551,4 @@ func (t *Tracer) Trace(spec PromptSpec, dst []*Iteration) []*Iteration {
 // their internal slices — in this repo every consumer (the store's
 // AddIteration, the trajectory cursor, the policies) copies what it
 // keeps.
-func (t *Tracer) Recycle(its []*Iteration) {
-	f := &t.m.free
-	f.mu.Lock()
-	f.its = append(f.its, its...)
-	if cap(its) > 0 {
-		f.slices = append(f.slices, its[:0])
-	}
-	f.mu.Unlock()
-}
+func (t *Tracer) Recycle(its []*Iteration) { t.m.free.put(its) }

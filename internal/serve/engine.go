@@ -175,6 +175,9 @@ type Engine struct {
 	// per-request bookkeeping records.
 	tracer  moe.Tracer
 	reqFree []*runReq
+	// ahead, when set, simulates the gate traces of the next admission
+	// set on a helper goroutine (SetTraceQueue).
+	ahead *moe.TraceQueue
 	// batchScratch is step's reusable copy of running (finishIteration
 	// compacts e.running while the batch is iterated, so the iteration
 	// must walk a stable copy — but not a fresh one per event).
@@ -378,11 +381,13 @@ func (e *Engine) Account(c policy.Component, ms float64) {
 
 // pendingReq is a queued request with its gate trace: nil iters means
 // "simulate at admission"; owned marks a handed-off trace the engine
-// recycles when the request completes.
+// recycles when the request completes. job is the trace asked of the
+// engine's TraceQueue while the request is in the next admission set.
 type pendingReq struct {
 	req   workload.Request
 	iters []*moe.Iteration
 	owned bool
+	job   *moe.TraceJob
 }
 
 // runReq is a request in flight.
@@ -660,7 +665,7 @@ func (e *Engine) finalize(reqs []RequestMetrics, wallClock float64) *Result {
 // Submit enqueues a request for serving. In the default (online) mode the
 // queue is kept sorted by arrival time with stable insertion, so requests
 // may be submitted out of arrival order. The gate trace is simulated lazily
-// at admission time.
+// at admission time, or ahead of it on a trace queue (SetTraceQueue).
 func (e *Engine) Submit(req workload.Request) { e.SubmitTraced(req, nil) }
 
 // SubmitTraced enqueues a request with a pre-computed gate trace (nil
@@ -692,6 +697,35 @@ func (e *Engine) enqueue(p pendingReq) {
 	e.pending = append(e.pending, pendingReq{})
 	copy(e.pending[i+1:], e.pending[i:])
 	e.pending[i] = p
+	if e.ahead != nil && !e.crashed {
+		e.askAhead(i)
+	}
+}
+
+// SetTraceQueue lets the engine ask q for the gate traces of its next
+// admission set: the first MaxBatch − InFlight queued requests. It asks
+// on every submit and after every step, so a trace is usually ready by
+// admission. q must queue traces of the engine's model for a helper
+// goroutine that serves it (internal/cluster's gate-trace pipeline).
+func (e *Engine) SetTraceQueue(q *moe.TraceQueue) { e.ahead = q }
+
+// askAhead adds a job for every request of the next admission set that
+// has neither a trace nor a job. A request that an insert at index at
+// pushed out of the set gives its job back, so only the set holds traces
+// and a backlog holds none.
+func (e *Engine) askAhead(at int) {
+	n := min(e.opts.MaxBatch-len(e.running), len(e.pending))
+	if at < n && n < len(e.pending) {
+		if p := &e.pending[n]; p.job != nil {
+			p.job.Release()
+			p.job = nil
+		}
+	}
+	for i := range e.pending[:n] {
+		if p := &e.pending[i]; p.iters == nil && p.job == nil {
+			p.job = e.ahead.Add(p.req.PromptSpec)
+		}
+	}
 }
 
 // removePending removes and returns queue entry i by copying the tail
@@ -865,8 +899,11 @@ func (e *Engine) retire(r *runReq, now float64) {
 }
 
 // dropPending recycles the handed-off gate trace of a request that
-// leaves the queue without being admitted.
+// leaves the queue without being admitted, or releases its job.
 func (e *Engine) dropPending(p pendingReq) {
+	if p.job != nil {
+		p.job.Release()
+	}
 	if p.owned {
 		e.tracer.Recycle(p.iters)
 	}
@@ -887,14 +924,17 @@ func (e *Engine) StallPCIeLinks(untilMS float64) { e.cluster.StallPCIe(untilMS) 
 func (e *Engine) StallStagingLinks(untilMS float64) { e.cluster.StallStaging(untilMS) }
 
 // admitOne moves the head of the pending queue into the running batch,
-// simulating its gate trace if none was supplied. arrival records the
-// request's metric arrival time (its trace arrival online, the current
-// clock offline).
+// simulating its gate trace if none was supplied and its job, if any,
+// yields none. arrival records the request's metric arrival time (its
+// trace arrival online, the current clock offline).
 //
 //finemoe:allocok warms the runReq and gate-trace free lists; steady-state admissions recycle completed requests' records
 func (e *Engine) admitOne(arrival float64) *runReq {
 	p := e.removePending(0)
 	q, iters, owned := p.req, p.iters, p.owned
+	if p.job != nil {
+		iters, owned = p.job.Take(), true
+	}
 	if iters == nil {
 		iters = e.tracer.Trace(q.PromptSpec, nil)
 		owned = true
@@ -928,10 +968,15 @@ func (e *Engine) admit() []*runReq {
 }
 
 // runBatch executes one iteration for the batch and advances the clock.
+// Completions may have opened the next admission set, so it asks ahead
+// for its traces.
 func (e *Engine) runBatch(batch []*runReq) {
 	end := e.runIteration(batch, e.now)
 	e.finishIteration(batch, end)
 	e.now = end
+	if e.ahead != nil {
+		e.askAhead(len(e.pending))
+	}
 }
 
 // step executes one scheduling event: advance the clock to the next arrival

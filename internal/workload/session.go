@@ -46,6 +46,11 @@ func (c SessionConfig) withDefaults() SessionConfig {
 // sessionSalt namespaces per-turn follow-up sampling.
 const sessionSalt uint64 = 0x5e55
 
+// followUpRows is the number of follow-up embeddings per block of a
+// Sessions' arena: 8 KB at SemDim 16, so the one block a Sessions holds
+// at the end of a run stays small.
+const followUpRows = 64
+
 // turnIDStride separates the request IDs of a session's turns: turn k of
 // session s has ID s + k·turnIDStride, unique while initial IDs stay below
 // the stride and sessions below maxTurns turns.
@@ -60,6 +65,10 @@ type Sessions struct {
 	dim  int
 	cfg  SessionConfig
 	seed uint64
+	// embs holds the follow-ups' embeddings. It is apart from any
+	// Source's arena because StreamInitial's source may run on another
+	// goroutine.
+	embs *Arena
 }
 
 // NewSessions builds a session generator. Determinism: every sampled
@@ -69,7 +78,7 @@ func NewSessions(d Dataset, dim int, cfg SessionConfig, seed uint64) *Sessions {
 	if dim <= 0 {
 		panic(fmt.Sprintf("workload: invalid session dim %d", dim))
 	}
-	return &Sessions{d: d, dim: dim, cfg: cfg.withDefaults(), seed: seed}
+	return &Sessions{d: d, dim: dim, cfg: cfg.withDefaults(), seed: seed, embs: newArena(dim, followUpRows)}
 }
 
 // Initial samples n session-opening requests (turn 0) with arrival times
@@ -84,7 +93,8 @@ func (s *Sessions) Initial(ap ArrivalProcess, n int, idBase uint64) []Request {
 // exponential think time after doneMS (the parent's completion time), or
 // ok=false when the session ends. The follow-up's embedding is the
 // parent's drifted by cfg.Drift, its lengths are fresh dataset samples,
-// and its topic, dataset and tenant carry over.
+// and its topic, dataset and tenant carry over. The embedding is a row of
+// the Sessions' own arena, so FollowUp is for one goroutine at a time.
 func (s *Sessions) FollowUp(parent Request, doneMS float64) (Request, bool) {
 	turn := parent.Turn + 1
 	if turn >= maxTurns || s.cfg.MeanTurns <= 1 {
@@ -95,12 +105,21 @@ func (s *Sessions) FollowUp(parent Request, doneMS float64) (Request, bool) {
 		return Request{}, false
 	}
 
-	emb := tensor.Copy(parent.Embedding)
+	if len(parent.Embedding) != s.dim {
+		panic(fmt.Sprintf("workload: follow-up of a %d-dim embedding in %d-dim sessions", len(parent.Embedding), s.dim))
+	}
+	emb := s.embs.Row()
 	if s.cfg.Drift > 0 {
-		noise := make([]float64, len(emb))
-		r.UnitVec(noise)
-		tensor.Axpy(s.cfg.Drift, noise, emb)
+		// emb = parent + Drift·noise, renormalized. The noise is drawn
+		// into emb itself and mixed in with Axpy's operations in Axpy's
+		// order, so every bit matches a separate noise buffer.
+		r.UnitVec(emb)
+		for i, x := range parent.Embedding {
+			emb[i] = x + s.cfg.Drift*emb[i]
+		}
 		tensor.Normalize(emb)
+	} else {
+		copy(emb, parent.Embedding)
 	}
 
 	in := sampleLen(r, s.d.MeanInput, s.d.LenSigma, 4, 2048)

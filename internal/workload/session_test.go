@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"finemoe/internal/raceflag"
+	"finemoe/internal/rng"
 	"finemoe/internal/tensor"
 )
 
@@ -137,5 +139,49 @@ func TestSingleTurnSessions(t *testing.T) {
 	q := s.Initial(Poisson{RatePerSec: 4}, 1, 0)[0]
 	if _, ok := s.FollowUp(q, 100); ok {
 		t.Fatal("MeanTurns=1 session continued")
+	}
+}
+
+// TestSessionFollowUpEmbeddingBits: a follow-up's embedding, drifted in
+// place in an arena row, keeps every bit of the separate-buffer form:
+// copy the parent, draw unit noise, Axpy, normalize.
+func TestSessionFollowUpEmbeddingBits(t *testing.T) {
+	s := testSessions()
+	n := 0
+	for _, parent := range s.Initial(Poisson{RatePerSec: 4}, 40, 0) {
+		fu, ok := s.FollowUp(parent, 1000)
+		if !ok {
+			continue
+		}
+		n++
+		r := rng.New(rng.Mix(s.seed, parent.Session, uint64(fu.Turn), sessionSalt))
+		r.Float64()
+		want := tensor.Copy(parent.Embedding)
+		noise := make([]float64, len(want))
+		r.UnitVec(noise)
+		tensor.Axpy(s.cfg.Drift, noise, want)
+		tensor.Normalize(want)
+		for i := range want {
+			if math.Float64bits(fu.Embedding[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("follow-up %d: embedding[%d] = %v, want %v", fu.ID, i, fu.Embedding[i], want[i])
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no session continued")
+	}
+}
+
+// TestSessionFollowUpAllocs: follow-up embeddings come from the
+// Sessions' arena, one block per followUpRows turns, so a follow-up
+// allocates nothing in steady state.
+func TestSessionFollowUpAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := NewSessions(LMSYSChat1M(), 16, SessionConfig{MeanTurns: 1e9, ThinkTimeS: 1, Drift: 0.05}, 3)
+	parent := s.Initial(Poisson{RatePerSec: 4}, 1, 0)[0]
+	if got := testing.AllocsPerRun(followUpRows, func() { s.FollowUp(parent, 100) }); got != 0 {
+		t.Errorf("FollowUp allocates %.1f objects per call, want 0", got)
 	}
 }

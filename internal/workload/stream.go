@@ -74,25 +74,29 @@ const arenaRows = 1024
 // full-slice-capped at dim, so appending through one row can never
 // clobber its neighbors; the arena itself retains only the current
 // block's unused tail, so a block's lifetime is the lifetime of the
-// requests whose embeddings live in it.
+// requests whose embeddings live in it. Rows are never reused. Blocks
+// are carved lazily, so an arena that hands out no row allocates none.
 type Arena struct {
-	dim  int
-	free []float64
+	dim, rows int
+	free      []float64
 }
 
-// NewArena builds an arena of dim-length rows.
-func NewArena(dim int) *Arena {
+// NewArena builds an arena of dim-length rows, arenaRows to a block.
+func NewArena(dim int) *Arena { return newArena(dim, arenaRows) }
+
+// newArena builds an arena of dim-length rows, rows to a block.
+func newArena(dim, rows int) *Arena {
 	if dim <= 0 {
 		panic(fmt.Sprintf("workload: invalid arena dim %d", dim))
 	}
-	return &Arena{dim: dim}
+	return &Arena{dim: dim, rows: rows}
 }
 
 // Row returns the next zeroed row, carving a fresh block only once per
-// arenaRows rows; steady-state rows are sub-slices.
+// block's rows; steady-state rows are sub-slices.
 func (a *Arena) Row() []float64 {
 	if len(a.free) < a.dim {
-		a.free = make([]float64, a.dim*arenaRows)
+		a.free = make([]float64, a.dim*a.rows)
 	}
 	row := a.free[:a.dim:a.dim]
 	a.free = a.free[a.dim:]
